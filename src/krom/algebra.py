@@ -9,7 +9,8 @@ composition yields the closure operators ``power``, ``star``, and ``plus``;
 ``omega`` computes the least model.
 
 A program is also the edge set of a digraph (a proper rule ``a :- b`` is an
-edge from b to a), so the closure operators have reachability fast paths.
+edge from b to a). ``omega``, ``star``, ``reach`` and ``extend_omega`` are
+reachability questions on it, answered by one search.
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
 """
@@ -248,7 +249,7 @@ class Interpretation(AtomSet):
         """Inverse of :meth:`as_program`; rejects programs with proper rules."""
         bad = [r for r in program.rules if r.body is not None]
         if bad:
-            raise ValueError(f"not a facts-only program: contains {bad[0]}")
+            raise ValueError(f"not a facts-only program: contains {min(bad, key=_rule_key)}")
         return cls._wrap(frozenset(r.head for r in program.rules))
 
 
@@ -349,25 +350,49 @@ def power(program: Program, n: int, alphabet: Alphabet) -> Program:
 def star(program: Program, alphabet: Alphabet) -> Program:
     """The union of all composition powers of the program, 0-fold included.
 
-    Accumulates ``U := U | compose(U, P)`` from the identity program until a
-    full pass adds no rule. The accumulator grows monotonically inside the
-    finite rule universe over the alphabet, so the loop stops within
-    ``|A|**2 + |A| + 1`` passes; exceeding that bound is a bug.
+    Closed form: the fact ``h`` for every ``h`` in ``omega(P)``, and the
+    proper rule ``h :- b`` for every ``b`` in the alphabet and every ``h``
+    reachable from ``b`` along proper-rule edges, ``b`` itself included.
+    The proper rules of the n-th power are the paths of length n (length 0
+    being the identity program), and the union of the facts of the
+    positive powers is the least model.
     """
     _require_covers(program, alphabet)
-    n = len(alphabet)
-    acc = unit(alphabet)
-    for _ in range(n * n + n + 1):
-        grown = acc | compose(acc, program)
-        if grown == acc:
-            return acc
-        acc = grown
-    raise InternalError("closure accumulator escaped the rule-universe bound")
+    fact_atoms, edges = _graph(program)
+    out = {Rule(h) for h in _closure(edges, fact_atoms)}
+    for b in alphabet.atoms:
+        out.update(Rule(h, b) for h in _closure(edges, (b,)))
+    return Program._wrap(frozenset(out))
 
 
 def plus(program: Program, alphabet: Alphabet) -> Program:
     """The union of all positive composition powers: ``star(P) . P``."""
     return compose(star(program, alphabet), program)
+
+
+def _graph(program: Program) -> tuple[list[Atom], dict[Atom, list[Atom]]]:
+    # The fact atoms, and the heads of the proper rules keyed by their body:
+    # the digraph with an edge body -> head per proper rule.
+    fact_atoms = []
+    edges: dict[Atom, list[Atom]] = {}
+    for r in program.rules:
+        if r.body is None:
+            fact_atoms.append(r.head)
+        else:
+            edges.setdefault(r.body, []).append(r.head)
+    return fact_atoms, edges
+
+
+def _closure(edges: dict[Atom, list[Atom]], seeds: Iterable[Atom]) -> set:
+    # Every atom reachable from the seeds, the seeds included.
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for h in edges.get(stack.pop(), ()):
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return seen
 
 
 def omega(program: Program) -> Interpretation:
@@ -377,22 +402,8 @@ def omega(program: Program) -> Interpretation:
     edge ``body -> head`` of every proper rule. Equals the union of the fact
     parts of all positive composition powers.
     """
-    targets: dict[Atom, list[Atom]] = {}
-    seeds = []
-    for r in program.rules:
-        if r.body is None:
-            seeds.append(r.head)
-        else:
-            targets.setdefault(r.body, []).append(r.head)
-    seen = set(seeds)
-    stack = seeds
-    while stack:
-        b = stack.pop()
-        for h in targets.get(b, ()):
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return Interpretation._wrap(frozenset(seen))
+    fact_atoms, edges = _graph(program)
+    return Interpretation._wrap(frozenset(_closure(edges, fact_atoms)))
 
 
 def models(interp: Interpretation, program: Program) -> bool:
@@ -416,28 +427,20 @@ def reach(program: Program, interp: Interpretation) -> Interpretation:
 
     The input atoms themselves are always included. Atoms foreign to the
     program are isolated vertices and map to themselves. Rejects programs
-    containing facts; reachability is an edge-set notion.
+    containing facts, naming the least one; reachability is an edge-set
+    notion.
     """
-    edges: dict[Atom, list[Atom]] = {}
-    for r in program.rules:
-        if r.body is None:
-            raise ValueError(f"expected a proper-rules-only program, found fact {r.head}")
-        edges.setdefault(r.body, []).append(r.head)
-    seen = set(interp.atoms)
-    stack = list(seen)
-    while stack:
-        b = stack.pop()
-        for h in edges.get(b, ()):
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return Interpretation._wrap(frozenset(seen))
+    fact_atoms, edges = _graph(program)
+    if fact_atoms:
+        raise ValueError(f"expected a proper-rules-only program, found fact {min(fact_atoms)}")
+    return Interpretation._wrap(frozenset(_closure(edges, interp.atoms)))
 
 
 def extend_omega(k: Program, interp: Interpretation) -> Interpretation:
     """Least model of the program extended with the interpretation as facts.
 
     Equals ``omega(k | interp.as_program())`` but never materializes the
-    union: the extra facts only contribute what is reachable from them.
+    union: the search is seeded with the facts and the interpretation.
     """
-    return omega(k) | reach(proper(k), interp)
+    fact_atoms, edges = _graph(k)
+    return Interpretation._wrap(frozenset(_closure(edges, [*fact_atoms, *interp.atoms])))

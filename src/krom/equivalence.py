@@ -23,12 +23,13 @@ from .algebra import (
     InternalError,
     Interpretation,
     Program,
+    _closure,
+    _graph,
     atoms,
     compose,
+    extend_omega,
     models,
     omega,
-    proper,
-    reach,
 )
 
 __all__ = [
@@ -137,14 +138,14 @@ def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
     The witness on a negative verdict is the first failing interpretation,
     checked in sorted order with the empty one first.
     """
-    base_k, base_l = omega(k), omega(l)
-    if base_k != base_l:
+    facts_k, edges_k = _graph(k)
+    facts_l, edges_l = _graph(l)
+    base = _closure(edges_k, facts_k)
+    if base != _closure(edges_l, facts_l):
         return EquivVerdict(False, Interpretation())
-    pk, pl = proper(k), proper(l)
     for x in _joint_alphabet(k, l):
-        single = Interpretation((x,))
-        if base_k | reach(pk, single) != base_l | reach(pl, single):
-            return EquivVerdict(False, single)
+        if base | _closure(edges_k, (x,)) != base | _closure(edges_l, (x,)):
+            return EquivVerdict(False, Interpretation((x,)))
     return EquivVerdict(True)
 
 
@@ -210,10 +211,20 @@ def minimize(k: Program) -> Program:
     is enough for 1-minimality because extensions' least models only shrink
     when rules are removed: a rule that later became removable would have
     been removable at its own turn already.
+
+    Each deletion is decided by one derivability query. The kept rules C
+    stay uniformly equivalent to the input, so comparing with the input is
+    comparing with C. As ``C - {r}`` is a subset of C, the least model of
+    each of its extensions lies inside that of C's, and the two are equal
+    iff it satisfies ``r``. For a fact ``h`` that holds iff ``h`` is in the
+    least model of ``C - {r}``. For ``h :- b`` every extension whose least
+    model holds ``b`` contains the least model of ``C - {r}`` extended by
+    ``b``, so it holds iff ``h`` is in the latter.
     """
     current = set(k.rules)
     for r in k:
-        candidate = Program._wrap(frozenset(current - {r}))
-        if uniform_equiv(candidate, k).equal:
-            current.discard(r)
+        current.discard(r)
+        seed = Interpretation(() if r.body is None else (r.body,))
+        if r.head not in extend_omega(Program._wrap(frozenset(current)), seed):
+            current.add(r)
     return Program._wrap(frozenset(current))

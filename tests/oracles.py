@@ -7,6 +7,8 @@ code with the operations it checks.
 
 from __future__ import annotations
 
+import itertools
+
 from krom import Alphabet, Interpretation, Program, Rule, atoms
 
 
@@ -112,3 +114,26 @@ def omega_powers_oracle(program: Program) -> Interpretation:
         total = total | frozenset(r.head for r in pw.rules if r.body is None)
         pw = compose_oracle(pw, program)
     return Interpretation(total)
+
+
+def minimize_oracle(k: Program) -> Program:
+    """The sorted greedy pass (facts first by head, then proper rules by head
+    and body), deleting a rule iff the least model, by immediate
+    consequences, stays the same under every extension of the kept rules
+    by an interpretation over the input's atoms."""
+    alphabet = sorted({r.head for r in k.rules} | {r.body for r in k.rules if r.body is not None})
+    extensions = [
+        {Rule(a) for a in combo}
+        for size in range(len(alphabet) + 1)
+        for combo in itertools.combinations(alphabet, size)
+    ]
+    current = set(k.rules)
+    for r in sorted(k.rules, key=lambda r: (r.body is not None, r.head, r.body or "")):
+        candidate = current - {r}
+        if all(
+            consequences_oracle(Program(candidate | ext))
+            == consequences_oracle(Program(k.rules | ext))
+            for ext in extensions
+        ):
+            current = candidate
+    return Program(current)

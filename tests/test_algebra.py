@@ -156,8 +156,9 @@ class TestAtomSets:
         assert Interpretation.from_program(prog("a", "b")) == i
 
     def test_from_program_rejects_proper_rules(self):
-        with pytest.raises(ValueError):
-            Interpretation.from_program(prog("a", "b<-a"))
+        with pytest.raises(ValueError) as err:
+            Interpretation.from_program(prog("a", "d<-a", "c<-a", "b<-a"))
+        assert str(err.value) == "not a facts-only program: contains b :- a"
 
     def test_sorted_iteration_and_str(self):
         i = interp("c", "a", "b")
@@ -412,8 +413,9 @@ class TestReach:
         assert reach(prog("a<-b"), interp("x")) == interp("x")
 
     def test_rejects_facts(self):
-        with pytest.raises(ValueError):
-            reach(prog("a", "b<-a"), interp("a"))
+        with pytest.raises(ValueError) as err:
+            reach(prog("c", "b", "a", "d<-a"), interp("a"))
+        assert str(err.value) == "expected a proper-rules-only program, found fact a"
 
     @given(programs_st, interps_st)
     def test_monotone_and_idempotent(self, p, i):

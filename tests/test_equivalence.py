@@ -25,6 +25,7 @@ from krom import (
     uniform_equiv,
     uniform_equiv_oracle,
 )
+from oracles import minimize_oracle
 
 
 def prog(*pieces):
@@ -288,6 +289,18 @@ class TestMinimize:
             assert uniform_equiv_oracle(small, k).equal
             for r in small:
                 assert not uniform_equiv_oracle(Program(small.rules - {r}), k).equal
+
+    def test_matches_greedy_oracle_on_cyclic_programs(self):
+        rng = random.Random(2718)
+        for _ in range(300):
+            names = "abcdef"[: rng.randint(4, 6)]
+            ring = rng.sample(names, rng.randint(2, len(names)))
+            pieces = [f"{h}<-{b}" for h, b in zip(ring, ring[1:] + ring[:1])]
+            pieces += rng.sample(names, rng.randint(1, 2))
+            for _ in range(rng.randint(0, 8)):
+                pieces.append(f"{rng.choice(names)}<-{rng.choice(names)}")
+            k = prog(*pieces)
+            assert minimize(k) == minimize_oracle(k)
 
     def test_idempotent(self):
         rng = random.Random(3141)
