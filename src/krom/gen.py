@@ -7,6 +7,7 @@ programs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -61,21 +62,32 @@ def random_program(config: GenConfig) -> Program:
     (falling back to the other pool when one is empty, so a saturating
     ``rule_count`` always fills the whole universe), then removes the rule
     at a uniformly drawn index of the chosen pool, swapping the last
-    element into the hole.
+    element into the hole. The fact pool starts as ``x1 .. xN``, the proper
+    pool as ``xh :- xb`` ordered by head, then body.
+
+    Neither pool is built: an index stands for its rule until a swap
+    displaces it, so memory is O(rule_count), whatever ``atom_count``.
     """
-    names = [Atom(f"x{i}") for i in range(1, config.atom_count + 1)]
-    fact_pool = [Rule(a) for a in names]
-    proper_pool = [Rule(h, b) for h in names for b in names]
+    n = config.atom_count
+    sizes = [n, n * n]
+    displaced = ({}, {})
+    atom = functools.cache(lambda i: Atom(f"x{i + 1}"))
     rng = random.Random(config.seed)
     chosen = []
     while len(chosen) < config.rule_count:
-        pick_fact = rng.random() < config.fact_ratio
-        pool = fact_pool if pick_fact else proper_pool
-        if not pool:
-            pool = proper_pool if pick_fact else fact_pool
-        i = rng.randrange(len(pool))
-        pool[i], pool[-1] = pool[-1], pool[i]
-        chosen.append(pool.pop())
+        pool = 0 if rng.random() < config.fact_ratio else 1
+        if not sizes[pool]:
+            pool = 1 - pool
+        i = rng.randrange(sizes[pool])
+        sizes[pool] -= 1
+        last = sizes[pool]
+        index = displaced[pool].get(i, i)
+        displaced[pool][i] = displaced[pool].pop(last, last)
+        if pool == 0:
+            chosen.append(Rule(atom(index)))
+        else:
+            head, body = divmod(index, n)
+            chosen.append(Rule(atom(head), atom(body)))
     return Program(chosen)
 
 

@@ -9,9 +9,12 @@ Grammar of the on-disk format:
 
 Whitespace between tokens is insignificant; ``%`` starts a comment that
 runs to the end of the line. Duplicate statements collapse (programs are
-sets). Rendering is byte-stable: facts first in lexicographic order, then
-proper rules ordered by head and body, one statement per line, one space on
-each side of ``:-``.
+sets). A syntax error is reported at the 1-based ``line:column`` of the
+first offending byte, whatever follows it; a comma after a rule body gets
+the message "Krom programs admit at most one body atom". Rendering is
+byte-stable: facts first in lexicographic order, then proper rules ordered
+by head and body, one statement per line, one space on each side of
+``:-``.
 """
 
 from __future__ import annotations
@@ -22,17 +25,24 @@ from .algebra import Atom, Program, Rule, atoms, facts
 
 __all__ = ["ParseError", "parse", "render", "to_dot"]
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r\n]+)
-    | (?P<comment>%[^\n]*)
-    | (?P<atom>[a-z][A-Za-z0-9_]*)
-    | (?P<arrow>:-)
-    | (?P<dot>\.)
-    | (?P<comma>,)
-    """,
+_SKIP = r"(?:[ \t\r\n]|%[^\n]*)*"
+_ATOM = r"[a-z][A-Za-z0-9_]*"
+
+# One statement, from whitespace and comments up to its final dot. Every
+# part is optional, so the match always succeeds and stops right before the
+# first byte that cannot continue the statement.
+_STATEMENT_RE = re.compile(
+    rf"""{_SKIP}
+    (?: (?P<head>{_ATOM}) {_SKIP}
+        (?: (?P<fact>\.)
+          | (?P<arrow>:-) {_SKIP} (?: (?P<body>{_ATOM}) {_SKIP} (?P<dot>\.)? )?
+        )?
+    )?""",
     re.VERBOSE,
 )
+
+# A byte that starts a token other than whitespace or a comment.
+_TOKEN_START_RE = re.compile(r":-|[.,a-z]")
 
 _KROM_BODY_MESSAGE = "Krom programs admit at most one body atom"
 
@@ -47,29 +57,23 @@ class ParseError(Exception):
         self.message = message
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
+def _error(text: str, m: re.Match) -> ParseError:
+    pos = m.end()
+    token = _TOKEN_START_RE.match(text, pos)
+    if token is None and pos < len(text):
+        message = f"unexpected character {text[pos]!r}"
+    elif m["head"] is None:
+        message = f"expected an atom, got {token.group()!r}"
+    elif m["arrow"] is None:
+        message = "expected '.' or ':-' after the head atom"
+    elif m["body"] is None:
+        message = "expected a body atom after ':-'"
+    elif text.startswith(",", pos):
+        message = _KROM_BODY_MESSAGE
+    else:
+        message = "expected '.' after the body atom"
     line = text.count("\n", 0, pos) + 1
-    start = text.rfind("\n", 0, pos) + 1
-    return line, pos - start + 1
-
-
-def _error(text: str, pos: int, message: str) -> ParseError:
-    line, column = _line_col(text, pos)
-    return ParseError(line, column, message)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise _error(text, pos, f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    return tokens
+    return ParseError(line, pos - text.rfind("\n", 0, pos), message)
 
 
 def parse(source: bytes | str) -> Program:
@@ -92,37 +96,17 @@ def parse(source: bytes | str) -> Program:
     else:
         text = source
 
-    tokens = _tokenize(text)
     rules = set()
-    i = 0
-    end = len(text)
-
-    def peek(j):
-        return tokens[j] if j < len(tokens) else (None, "", end)
-
-    while i < len(tokens):
-        kind, value, pos = tokens[i]
-        if kind != "atom":
-            raise _error(text, pos, f"expected an atom, got {value!r}")
-        head = value
-        kind, value, pos = peek(i + 1)
-        if kind == "dot":
-            rules.add(Rule(Atom(head)))
-            i += 2
-            continue
-        if kind != "arrow":
-            raise _error(text, pos, "expected '.' or ':-' after the head atom")
-        kind, value, pos = peek(i + 2)
-        if kind != "atom":
-            raise _error(text, pos, "expected a body atom after ':-'")
-        body = value
-        kind, value, pos = peek(i + 3)
-        if kind == "comma":
-            raise _error(text, pos, _KROM_BODY_MESSAGE)
-        if kind != "dot":
-            raise _error(text, pos, "expected '.' after the body atom")
-        rules.add(Rule(Atom(head), Atom(body)))
-        i += 4
+    pos = 0
+    while pos < len(text):
+        m = _STATEMENT_RE.match(text, pos)
+        if m["fact"]:
+            rules.add(Rule(Atom(m["head"])))
+        elif m["dot"]:
+            rules.add(Rule(Atom(m["head"]), Atom(m["body"])))
+        elif m["head"] or m.end() < len(text):
+            raise _error(text, m)
+        pos = m.end()
 
     return Program(rules)
 

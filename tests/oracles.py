@@ -8,8 +8,10 @@ code with the operations it checks.
 from __future__ import annotations
 
 import itertools
+import random
+import re
 
-from krom import Alphabet, Interpretation, Program, Rule, atoms
+from krom import Alphabet, Atom, GenConfig, Interpretation, Program, Rule, atoms
 
 
 def unit_oracle(alphabet: Alphabet) -> Program:
@@ -137,3 +139,44 @@ def minimize_oracle(k: Program) -> Program:
         ):
             current = candidate
     return Program(current)
+
+
+def random_program_oracle(config: GenConfig) -> Program:
+    """The documented draw, on both rule pools built in full: the fact pool
+    x1..xN and the proper pool ordered by head, then body."""
+    names = [Atom(f"x{i}") for i in range(1, config.atom_count + 1)]
+    fact_pool = [Rule(a) for a in names]
+    proper_pool = [Rule(h, b) for h in names for b in names]
+    rng = random.Random(config.seed)
+    chosen = []
+    while len(chosen) < config.rule_count:
+        pick_fact = rng.random() < config.fact_ratio
+        pool = fact_pool if pick_fact else proper_pool
+        if not pool:
+            pool = proper_pool if pick_fact else fact_pool
+        i = rng.randrange(len(pool))
+        pool[i], pool[-1] = pool[-1], pool[i]
+        chosen.append(pool.pop())
+    return Program(chosen)
+
+
+_ORACLE_ATOM = r"[a-z][A-Za-z0-9_]*"
+_ORACLE_PROGRAM_RE = re.compile(
+    rf"(?:[ \t\r\n]*{_ORACLE_ATOM}[ \t\r\n]*(?:\.|:-[ \t\r\n]*{_ORACLE_ATOM}[ \t\r\n]*\.))*[ \t\r\n]*"
+)
+_ORACLE_STATEMENT_RE = re.compile(
+    rf"({_ORACLE_ATOM})[ \t\r\n]*(?::-[ \t\r\n]*({_ORACLE_ATOM})[ \t\r\n]*)?\."
+)
+
+
+def parse_oracle(text: str) -> Program | None:
+    """The program a text denotes, or None if it is not one: comments
+    become spaces, the whole text must match the program grammar, and then
+    every statement match is a rule."""
+    text = re.sub(r"%[^\n]*", " ", text)
+    if _ORACLE_PROGRAM_RE.fullmatch(text) is None:
+        return None
+    return Program(
+        Rule(Atom(head), Atom(body) if body else None)
+        for head, body in _ORACLE_STATEMENT_RE.findall(text)
+    )

@@ -165,6 +165,12 @@ class TestGen:
         assert code == 0
         assert len(parse(out)) == 9
 
+    def test_huge_atom_count_costs_only_the_drawn_rules(self, run):
+        code, out, err = run("gen", "--atoms", "100000", "--rules", "1")
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1
+        assert len(parse(out)) == 1
+
     def test_infeasible_rule_count(self, run):
         code, _, err = run("gen", "--atoms", "2", "--rules", "7", "--seed", "0")
         assert code == 2

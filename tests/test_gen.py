@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from krom import (
     render,
     rule,
 )
+from oracles import random_program_oracle
 
 
 class TestGenConfig:
@@ -73,6 +75,19 @@ class TestRandomProgram:
     def test_fact_ratio_zero_draws_proper_rules_only(self):
         p = random_program(GenConfig(atom_count=4, rule_count=16, fact_ratio=0.0, seed=9))
         assert not any(r.is_fact for r in p)
+
+    def test_matches_the_eager_pool_oracle(self):
+        rng = random.Random(17)
+        for _ in range(2500):
+            n = rng.randint(1, 12)
+            universe = n + n * n
+            cfg = GenConfig(
+                atom_count=n,
+                rule_count=rng.choice([universe, rng.randint(0, universe)]),
+                fact_ratio=rng.choice([0.0, 1.0, rng.random()]),
+                seed=rng.getrandbits(64),
+            )
+            assert random_program(cfg) == random_program_oracle(cfg), cfg
 
     def test_outputs_round_trip(self):
         for seed in range(30):

@@ -18,6 +18,7 @@ from krom import (
     rule,
     to_dot,
 )
+from oracles import parse_oracle
 
 names_st = st.from_regex(r"[a-z][A-Za-z0-9_]{0,5}", fullmatch=True)
 rules_st = st.one_of(
@@ -62,18 +63,17 @@ class TestParse:
 
 
 class TestParseErrors:
-    def assert_error(self, text, line, column, fragment):
+    def assert_error(self, text, line, column, message):
         with pytest.raises(ParseError) as info:
             parse(text)
         err = info.value
-        assert (err.line, err.column) == (line, column)
-        assert fragment in err.message
+        assert (err.line, err.column, err.message) == (line, column, message)
 
     def test_multi_atom_body(self):
         self.assert_error("a :- b, c.", 1, 7, "Krom programs admit at most one body atom")
 
     def test_multi_atom_body_later_line(self):
-        self.assert_error("a.\nb :- a, c.\n", 2, 7, "at most one body atom")
+        self.assert_error("a.\nb :- a, c.\n", 2, 7, "Krom programs admit at most one body atom")
 
     def test_bad_character(self):
         self.assert_error("a := b.", 1, 3, "unexpected character ':'")
@@ -82,27 +82,46 @@ class TestParseErrors:
         self.assert_error("Abc.", 1, 1, "unexpected character 'A'")
 
     def test_missing_dot_between_statements(self):
-        self.assert_error("a b.", 1, 3, "expected '.' or ':-'")
+        self.assert_error("a b.", 1, 3, "expected '.' or ':-' after the head atom")
 
     def test_missing_dot_at_eof(self):
-        self.assert_error("a :- b", 1, 7, "expected '.'")
+        self.assert_error("a :- b", 1, 7, "expected '.' after the body atom")
 
     def test_missing_body(self):
-        self.assert_error("a :- .", 1, 6, "expected a body atom")
+        self.assert_error("a :- .", 1, 6, "expected a body atom after ':-'")
 
     def test_leading_dot(self):
-        self.assert_error(".", 1, 1, "expected an atom")
+        self.assert_error(".", 1, 1, "expected an atom, got '.'")
+
+    @pytest.mark.parametrize(
+        "text,line,column,message",
+        [
+            ("a :- .\n$", 1, 6, "expected a body atom after ':-'"),
+            ("a b $", 1, 3, "expected '.' or ':-' after the head atom"),
+            (". $", 1, 1, "expected an atom, got '.'"),
+            ("a :- b, c $", 1, 7, "Krom programs admit at most one body atom"),
+        ],
+    )
+    def test_first_offending_byte_wins_over_a_later_bad_character(
+        self, text, line, column, message
+    ):
+        self.assert_error(text, line, column, message)
 
     def test_non_utf8(self):
         with pytest.raises(ParseError) as info:
             parse(b"a.\n\xffb.\n")
-        assert (info.value.line, info.value.column) == (2, 1)
-        assert "UTF-8" in info.value.message
+        err = info.value
+        assert (err.line, err.column, err.message) == (2, 1, "input is not valid UTF-8")
 
     def test_str_form_carries_position(self):
         with pytest.raises(ParseError) as info:
             parse("a :- b, c.")
-        assert str(info.value).startswith("1:7:")
+        assert str(info.value) == "1:7: Krom programs admit at most one body atom"
+
+    def assert_inside(self, text, err):
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1
 
     def test_positions_stay_inside_the_input(self):
         bad_inputs = [
@@ -112,10 +131,28 @@ class TestParseErrors:
         for text in bad_inputs:
             with pytest.raises(ParseError) as info:
                 parse(text)
-            err = info.value
-            lines = text.split("\n")
-            assert 1 <= err.line <= len(lines)
-            assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+            self.assert_inside(text, info.value)
+
+    def test_agrees_with_the_whole_program_regex_oracle(self):
+        tokens = [
+            "a", "b", "x1", "q_Z", ":-", ":", ".", ",", "%",
+            " ", "\t", "\r", "\n", "A", "1", "$",
+        ]
+        statements = ["a.", "b :- a.", "x1:-q_Z .", "% a.\n"]
+        rng = random.Random(41)
+        for _ in range(6000):
+            parts = [rng.choice(tokens) for _ in range(rng.randint(0, 10))]
+            for _ in range(rng.randint(0, 3)):
+                parts.insert(rng.randint(0, len(parts)), rng.choice(statements))
+            text = "".join(parts)
+            expected = parse_oracle(text)
+            try:
+                got = parse(text)
+            except ParseError as err:
+                assert expected is None, text
+                self.assert_inside(text, err)
+            else:
+                assert got == expected, text
 
 
 class TestRender:
