@@ -44,7 +44,9 @@ __all__ = [
     "extend_omega",
 ]
 
-_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+# Atom syntax, shared with the statement regex in textio.
+_ATOM = r"[a-z][A-Za-z0-9_]*"
+_ATOM_RE = re.compile(_ATOM + r"\Z")
 
 
 class InternalError(RuntimeError):

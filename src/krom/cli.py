@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import sys
 
-from .algebra import Alphabet, Atom, InternalError, Program, atoms, omega
+from .algebra import Alphabet, InternalError, Program, atoms, omega
 from . import algebra
 from .equivalence import (
     lm_equiv,
@@ -35,25 +36,19 @@ class ExitStatus(enum.IntEnum):
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: ExitStatus = ExitStatus.USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error whose message is printed as is, with exit status USAGE."""
 
 
-def _read_source(path: str, stdin_cache: dict) -> tuple[str, bytes]:
+def _load(path: str, read_stdin) -> Program:
+    name = path
     if path == "-":
-        if "data" not in stdin_cache:
-            stdin_cache["data"] = sys.stdin.buffer.read()
-        return "<stdin>", stdin_cache["data"]
-    try:
-        with open(path, "rb") as f:
-            return path, f.read()
-    except OSError as exc:
-        raise _CliError(f"error: cannot read {path}: {exc.strerror}") from None
-
-
-def _load(path: str, stdin_cache: dict) -> Program:
-    name, data = _read_source(path, stdin_cache)
+        name, data = "<stdin>", read_stdin()
+    else:
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except OSError as exc:
+            raise _CliError(f"error: cannot read {path}: {exc.strerror}") from None
     try:
         return parse(data)
     except ParseError as err:
@@ -64,48 +59,12 @@ def _alphabet_for(program: Program, flag_value: str | None) -> Alphabet:
     if flag_value is None:
         return atoms(program)
     try:
-        return Alphabet(Atom(name.strip()) for name in flag_value.split(","))
+        return Alphabet(name.strip() for name in flag_value.split(","))
     except ValueError as exc:
         raise _CliError(f"error: bad --alphabet value: {exc}") from None
 
 
-def _cmd_lm(args, stdin_cache):
-    model = omega(_load(args.file, stdin_cache))
-    sys.stdout.write("".join(f"{a}\n" for a in model))
-    return ExitStatus.OK
-
-
-def _cmd_compose(args, stdin_cache):
-    k = _load(args.file1, stdin_cache)
-    l = _load(args.file2, stdin_cache)
-    sys.stdout.write(render(algebra.compose(k, l)))
-    return ExitStatus.OK
-
-
-def _cmd_power(args, stdin_cache):
-    program = _load(args.file, stdin_cache)
-    result = algebra.power(program, args.n, _alphabet_for(program, args.alphabet))
-    sys.stdout.write(render(result))
-    return ExitStatus.OK
-
-
-def _cmd_star(args, stdin_cache):
-    program = _load(args.file, stdin_cache)
-    result = algebra.star(program, _alphabet_for(program, args.alphabet))
-    sys.stdout.write(render(result))
-    return ExitStatus.OK
-
-
-def _cmd_plus(args, stdin_cache):
-    program = _load(args.file, stdin_cache)
-    result = algebra.plus(program, _alphabet_for(program, args.alphabet))
-    sys.stdout.write(render(result))
-    return ExitStatus.OK
-
-
-def _cmd_equiv(args, stdin_cache):
-    k = _load(args.file1, stdin_cache)
-    l = _load(args.file2, stdin_cache)
+def _equiv(args, k: Program, l: Program) -> str:
     if args.oracle and args.mode != "uniform":
         raise _CliError("error: --oracle is only available with --mode uniform")
     if args.mode == "lm":
@@ -117,38 +76,52 @@ def _cmd_equiv(args, stdin_cache):
     else:
         verdict = uniform_equiv(k, l)
     if verdict.equal:
-        print("equivalent")
-        return ExitStatus.OK
-    print("not equivalent")
-    if verdict.witness is not None:
-        print(f"witness: {verdict.witness}")
-    return ExitStatus.NOT_EQUIVALENT
+        return "equivalent\n"
+    if verdict.witness is None:
+        return "not equivalent\n"
+    return f"not equivalent\nwitness: {verdict.witness}\n"
 
 
-def _cmd_minimize(args, stdin_cache):
-    sys.stdout.write(render(minimize(_load(args.file, stdin_cache))))
-    return ExitStatus.OK
+_ALPHABET = ("--alphabet", {"help": "comma-separated atoms (default: atoms of the program)"})
 
-
-def _cmd_gen(args, stdin_cache):
-    config = GenConfig(
-        atom_count=args.atoms,
-        rule_count=args.rules,
-        fact_ratio=args.fact_ratio,
-        seed=args.seed,
-    )
-    sys.stdout.write(render(random_program(config)))
-    return ExitStatus.OK
-
-
-def _cmd_dot(args, stdin_cache):
-    sys.stdout.write(to_dot(_load(args.file, stdin_cache)))
-    return ExitStatus.OK
-
-
-def _cmd_check(args, stdin_cache):
-    _load(args.file, stdin_cache)
-    return ExitStatus.OK
+# Each subcommand once: name -> (help, arguments, action). An argument is
+# either a bare name, a program operand that main loads in order and passes
+# to the action after the parsed namespace, or a (flag, add_argument
+# keywords) pair. Arguments are declared in the order argparse lists them in
+# errors. An action returns the text for stdout, and looks library functions
+# up when it runs, so a test or a tracer can rebind them on this module.
+_COMMANDS = {
+    "lm": ("print the least model, one atom per line", ["file"],
+           lambda args, p: "".join(f"{a}\n" for a in omega(p))),
+    "compose": ("print the sequential composition of two programs", ["file1", "file2"],
+                lambda args, k, l: render(algebra.compose(k, l))),
+    "power": ("print the n-fold composition of a program",
+              ["file", ("n", {"type": int}), _ALPHABET],
+              lambda args, p: render(algebra.power(p, args.n, _alphabet_for(p, args.alphabet)))),
+    "star": ("print the union of all composition powers", ["file", _ALPHABET],
+             lambda args, p: render(algebra.star(p, _alphabet_for(p, args.alphabet)))),
+    "plus": ("print the union of all positive composition powers", ["file", _ALPHABET],
+             lambda args, p: render(algebra.plus(p, _alphabet_for(p, args.alphabet)))),
+    "equiv": ("decide program equivalence (exit 0 equal, 1 not)",
+              [("--mode", {"choices": ["lm", "ss", "uniform"], "required": True}),
+               ("--oracle", {"action": "store_true",
+                             "help": "use the brute-force oracle (uniform mode only)"}),
+               "file1", "file2"],
+              _equiv),
+    "minimize": ("drop redundant rules, preserving uniform equivalence", ["file"],
+                 lambda args, p: render(minimize(p))),
+    "gen": ("print a reproducible random program",
+            [("--atoms", {"type": int, "required": True}),
+             ("--rules", {"type": int, "required": True}),
+             ("--fact-ratio", {"type": float, "default": 0.5}),
+             ("--seed", {"type": int, "default": 0})],
+            lambda args: render(random_program(
+                GenConfig(args.atoms, args.rules, args.fact_ratio, args.seed)))),
+    "dot": ("print the rule digraph in DOT format", ["file"],
+            lambda args, p: to_dot(p)),
+    "check": ("validate program syntax only", ["file"],
+              lambda args, p: ""),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,54 +130,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Algebra and equivalence tools for propositional Krom logic programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        return p
-
-    p = add("lm", _cmd_lm, "print the least model, one atom per line")
-    p.add_argument("file")
-
-    p = add("compose", _cmd_compose, "print the sequential composition of two programs")
-    p.add_argument("file1")
-    p.add_argument("file2")
-
-    p = add("power", _cmd_power, "print the n-fold composition of a program")
-    p.add_argument("file")
-    p.add_argument("n", type=int)
-    p.add_argument("--alphabet", help="comma-separated atoms (default: atoms of the program)")
-
-    p = add("star", _cmd_star, "print the union of all composition powers")
-    p.add_argument("file")
-    p.add_argument("--alphabet", help="comma-separated atoms (default: atoms of the program)")
-
-    p = add("plus", _cmd_plus, "print the union of all positive composition powers")
-    p.add_argument("file")
-    p.add_argument("--alphabet", help="comma-separated atoms (default: atoms of the program)")
-
-    p = add("equiv", _cmd_equiv, "decide program equivalence (exit 0 equal, 1 not)")
-    p.add_argument("--mode", choices=["lm", "ss", "uniform"], required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="use the brute-force oracle (uniform mode only)")
-    p.add_argument("file1")
-    p.add_argument("file2")
-
-    p = add("minimize", _cmd_minimize, "drop redundant rules, preserving uniform equivalence")
-    p.add_argument("file")
-
-    p = add("gen", _cmd_gen, "print a reproducible random program")
-    p.add_argument("--atoms", type=int, required=True)
-    p.add_argument("--rules", type=int, required=True)
-    p.add_argument("--fact-ratio", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("dot", _cmd_dot, "print the rule digraph in DOT format")
-    p.add_argument("file")
-
-    p = add("check", _cmd_check, "validate program syntax only")
-    p.add_argument("file")
-
+    for name, (summary, arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for arg in arguments:
+            if isinstance(arg, str):
+                p.add_argument(arg)
+            else:
+                p.add_argument(arg[0], **arg[1])
     return parser
 
 
@@ -213,18 +145,25 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else int(ExitStatus.USAGE)
-    stdin_cache: dict = {}
+    _, arguments, action = _COMMANDS[args.command]
+    read_stdin = functools.cache(lambda: sys.stdin.buffer.read())
     try:
-        return int(args.func(args, stdin_cache))
+        programs = [_load(getattr(args, a), read_stdin) for a in arguments if isinstance(a, str)]
+        out = action(args, *programs)
     except _CliError as err:
         print(err, file=sys.stderr)
-        return int(err.code)
+        return int(ExitStatus.USAGE)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return int(ExitStatus.USAGE)
     except InternalError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return int(ExitStatus.INTERNAL)
+    sys.stdout.write(out)
+    # equiv is the one command whose exit status carries its answer.
+    if args.command == "equiv" and out != "equivalent\n":
+        return int(ExitStatus.NOT_EQUIVALENT)
+    return int(ExitStatus.OK)
 
 
 if __name__ == "__main__":

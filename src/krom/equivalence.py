@@ -16,8 +16,7 @@ sampling silently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import (
     InternalError,
@@ -52,9 +51,8 @@ class AlphabetTooLargeError(ValueError):
     """The joint alphabet exceeds the exhaustive-enumeration bound."""
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
-    """Outcome of an equivalence query.
+class EquivVerdict(NamedTuple):
+    """Outcome of an equivalence query; truthy iff ``equal``.
 
     ``witness`` is a distinguishing interpretation when ``equal`` is False
     and the decider is semantic; syntactic and least-model verdicts carry

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 from .algebra import Alphabet, Atom, Program, Rule
@@ -21,35 +21,35 @@ _MAX_ENUM_ATOMS = 3
 _MAX_ENUM_RULES = 4
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """Parameters of one random program draw.
+class GenConfig(namedtuple("GenConfig", "atom_count rule_count fact_ratio seed")):
+    """Parameters of one random program draw, as a named tuple.
 
     The rule universe over ``atom_count`` atoms has ``atom_count`` facts and
     ``atom_count ** 2`` proper rules; ``rule_count`` may not exceed their
     sum. Equal configs always produce equal programs.
     """
 
-    atom_count: int
-    rule_count: int
-    fact_ratio: float = 0.5
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.atom_count < 1:
-            raise ValueError(f"atom_count must be positive, got {self.atom_count}")
-        if self.rule_count < 0:
-            raise ValueError(f"rule_count must be non-negative, got {self.rule_count}")
-        universe = self.atom_count + self.atom_count**2
-        if self.rule_count > universe:
+    def __new__(cls, atom_count: int, rule_count: int, fact_ratio: float = 0.5, seed: int = 0):
+        if atom_count < 1:
+            raise ValueError(f"atom_count must be positive, got {atom_count}")
+        if rule_count < 0:
+            raise ValueError(f"rule_count must be non-negative, got {rule_count}")
+        universe = atom_count + atom_count**2
+        if rule_count > universe:
             raise ValueError(
-                f"rule_count {self.rule_count} exceeds the rule universe "
-                f"({universe}) over {self.atom_count} atoms"
+                f"rule_count {rule_count} exceeds the rule universe "
+                f"({universe}) over {atom_count} atoms"
             )
-        if not 0 <= self.fact_ratio <= 1:
-            raise ValueError(f"fact_ratio must lie in [0, 1], got {self.fact_ratio}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= fact_ratio <= 1:
+            raise ValueError(f"fact_ratio must lie in [0, 1], got {fact_ratio}")
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
+        return super().__new__(cls, atom_count, rule_count, fact_ratio, seed)
+
+    # ``_replace`` builds through ``_make``; route it through the checks.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def random_program(config: GenConfig) -> Program:

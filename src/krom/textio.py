@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import re
 
-from .algebra import Atom, Program, Rule, atoms, facts
+from .algebra import _ATOM, Atom, Program, Rule, atoms, facts
 
 __all__ = ["ParseError", "parse", "render", "to_dot"]
 
 _SKIP = r"(?:[ \t\r\n]|%[^\n]*)*"
-_ATOM = r"[a-z][A-Za-z0-9_]*"
 
 # One statement, from whitespace and comments up to its final dot. Every
 # part is optional, so the match always succeeds and stops right before the

@@ -1,8 +1,11 @@
 import io
+import os
+import subprocess
 import sys
 
 import pytest
 
+import krom
 from krom import parse
 from krom.cli import ExitStatus, main
 
@@ -140,6 +143,16 @@ class TestEquiv:
         assert code == 2
         assert "--oracle" in err
 
+    def test_stdin_read_once_for_both_operands(self, run):
+        code, out, _ = run("equiv", "--mode", "uniform", "-", "-", stdin=b"a.\nb :- a.\n")
+        assert (code, out) == (0, "equivalent\n")
+
+    def test_files_load_before_the_oracle_check(self, run, write, tmp_path):
+        missing = str(tmp_path / "missing.krom")
+        code, out, err = run("equiv", "--mode", "lm", "--oracle", missing, write("a.\n"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {missing}: ")
+
     def test_empty_witness_rendering(self, run, write):
         code, out, _ = run("equiv", "--mode", "uniform", write("a.\n"), write(""))
         assert code == 1
@@ -220,6 +233,25 @@ class TestUsageAndErrors:
         assert code == 2
         assert err == f"{path}:2:6: expected a body atom after ':-'\n"
 
+    def test_first_operand_error_wins(self, run, write, tmp_path):
+        missing, bad = str(tmp_path / "missing.krom"), write("a :- .\n")
+        code, _, err = run("compose", missing, bad)
+        assert code == 2
+        assert err.startswith(f"error: cannot read {missing}: ")
+        code, _, err = run("compose", bad, missing)
+        assert code == 2
+        assert err == f"{bad}:1:6: expected a body atom after ':-'\n"
+
+    def test_top_level_help_lists_subcommands_in_order(self, run):
+        code, out, err = run("--help")
+        assert (code, err) == (0, "")
+        assert "{lm,compose,power,star,plus,equiv,minimize,gen,dot,check}" in out
+
+    def test_subcommand_help_usage(self, run):
+        code, out, _ = run("power", "--help")
+        assert code == 0
+        assert out.startswith("usage: krom power [-h] [--alphabet ALPHABET] file n\n")
+
     def test_exit_status_values(self):
         assert ExitStatus.OK == 0
         assert ExitStatus.NOT_EQUIVALENT == 1
@@ -261,3 +293,17 @@ class TestOutputContracts:
         path = write(self.PROGRAM)
         for argv in [("lm", path), ("star", path), ("dot", path)]:
             assert run(*argv) == run(*argv)
+
+
+class TestStartup:
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        src = os.path.dirname(os.path.dirname(krom.__file__))
+        code = "import sys, krom.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout == "[]\n"

@@ -75,8 +75,16 @@ class TestVerdict:
         assert not EquivVerdict(False, interp("a"))
 
     def test_frozen(self):
-        with pytest.raises(Exception):
+        with pytest.raises(AttributeError):
             EquivVerdict(True).equal = False
+
+    def test_repr(self):
+        assert repr(EquivVerdict(True)) == "EquivVerdict(equal=True, witness=None)"
+
+    def test_equal_verdicts_hash_equal(self):
+        assert EquivVerdict(False, interp("a")) == EquivVerdict(False, interp("a"))
+        assert hash(EquivVerdict(False, interp("a"))) == hash(EquivVerdict(False, interp("a")))
+        assert EquivVerdict(False, interp("a")) != EquivVerdict(False, interp("b"))
 
 
 class TestLmEquiv:

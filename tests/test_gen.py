@@ -22,21 +22,48 @@ class TestGenConfig:
         GenConfig(atom_count=3, rule_count=12, fact_ratio=0.25, seed=99)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            dict(atom_count=0, rule_count=0),
-            dict(atom_count=-1, rule_count=0),
-            dict(atom_count=2, rule_count=-1),
-            dict(atom_count=2, rule_count=7),  # universe over 2 atoms is 6
-            dict(atom_count=2, rule_count=2, fact_ratio=-0.1),
-            dict(atom_count=2, rule_count=2, fact_ratio=1.5),
-            dict(atom_count=2, rule_count=2, seed=-1),
-            dict(atom_count=2, rule_count=2, seed=2**64),
+            (dict(atom_count=0, rule_count=0), "atom_count must be positive, got 0"),
+            (dict(atom_count=-1, rule_count=0), "atom_count must be positive, got -1"),
+            (dict(atom_count=2, rule_count=-1), "rule_count must be non-negative, got -1"),
+            (dict(atom_count=2, rule_count=7),  # universe over 2 atoms is 6
+             "rule_count 7 exceeds the rule universe (6) over 2 atoms"),
+            (dict(atom_count=2, rule_count=2, fact_ratio=-0.1),
+             "fact_ratio must lie in [0, 1], got -0.1"),
+            (dict(atom_count=2, rule_count=2, fact_ratio=1.5),
+             "fact_ratio must lie in [0, 1], got 1.5"),
+            (dict(atom_count=2, rule_count=2, seed=-1),
+             "seed must be a 64-bit unsigned integer"),
+            (dict(atom_count=2, rule_count=2, seed=2**64),
+             "seed must be a 64-bit unsigned integer"),
         ],
+        ids=[f"kwargs{i}" for i in range(8)],
     )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_values(self, kwargs, message):
+        with pytest.raises(ValueError) as excinfo:
             GenConfig(**kwargs)
+        assert str(excinfo.value) == message
+
+    def test_positional_construction_and_repr(self):
+        assert GenConfig(3, 4) == GenConfig(atom_count=3, rule_count=4, fact_ratio=0.5, seed=0)
+        assert repr(GenConfig(3, 4)) == (
+            "GenConfig(atom_count=3, rule_count=4, fact_ratio=0.5, seed=0)"
+        )
+
+    def test_equal_configs_hash_equal(self):
+        assert GenConfig(3, 4, 0.25, 9) == GenConfig(3, 4, 0.25, 9)
+        assert hash(GenConfig(3, 4, 0.25, 9)) == hash(GenConfig(3, 4, 0.25, 9))
+        assert GenConfig(3, 4) != GenConfig(3, 5)
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            GenConfig(3, 4).seed = 1
+
+    def test_replace_validates(self):
+        assert GenConfig(3, 4)._replace(seed=5) == GenConfig(3, 4, seed=5)
+        with pytest.raises(ValueError, match="atom_count must be positive, got 0"):
+            GenConfig(3, 4)._replace(atom_count=0)
 
 
 class TestRandomProgram:
