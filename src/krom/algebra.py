@@ -13,6 +13,12 @@ edge from b to a). ``omega``, ``star``, ``reach`` and ``extend_omega`` are
 reachability questions on it, answered by one search.
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
+
+Validation happens once, where input enters: the public constructors of
+``Atom``, ``Program``, ``Interpretation`` and ``Alphabet`` check every
+value. Library results, ``textio.parse`` (one ``Atom`` per distinct name)
+and the ``gen`` functions build their values from atoms that are already
+valid, through the unchecked ``_wrap``.
 """
 
 from __future__ import annotations
@@ -105,7 +111,64 @@ def _rule_key(r: Rule) -> tuple:
     return (r.body is not None, r.head, r.body or "")
 
 
-class Program:
+class _SortedSet:
+    """An immutable finite set whose iteration is sorted.
+
+    The storage and the set behaviour shared by :class:`Program` (a set of
+    rules) and :class:`AtomSet` (a set of atoms). Each direct subclass
+    founds a family: ``==``, ``|`` and ``-`` combine members of one family
+    only (anything else gets ``NotImplemented``), and results take the type
+    of the left operand.
+    """
+
+    __slots__ = ("_items",)
+    # Sort key for iteration; None sorts the items themselves.
+    _key = None
+
+    def __init_subclass__(cls):
+        if _SortedSet in cls.__bases__:
+            cls._family = cls
+
+    @classmethod
+    def _wrap(cls, items: frozenset):
+        # Trusted fast path: the caller guarantees every item is one the
+        # public constructor would accept.
+        s = object.__new__(cls)
+        s._items = items
+        return s
+
+    def __iter__(self) -> Iterator:
+        return iter(sorted(self._items, key=self._key))
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __contains__(self, item: object) -> bool:
+        return item in self._items
+
+    def __bool__(self) -> bool:
+        return bool(self._items)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, self._family):
+            return NotImplemented
+        return self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __or__(self, other):
+        if not isinstance(other, self._family):
+            return NotImplemented
+        return self._wrap(self._items | other._items)
+
+    def __sub__(self, other):
+        if not isinstance(other, self._family):
+            return NotImplemented
+        return self._wrap(self._items - other._items)
+
+
+class Program(_SortedSet):
     """An immutable, duplicate-free set of rules.
 
     Iteration is sorted (facts first by head, then proper rules by head and
@@ -113,7 +176,8 @@ class Program:
     ``|`` and ``-`` give rule-set union and difference.
     """
 
-    __slots__ = ("_rules",)
+    __slots__ = ()
+    _key = staticmethod(_rule_key)
 
     def __init__(self, rules: Iterable[Rule] = ()):
         rs = frozenset(rules)
@@ -123,115 +187,46 @@ class Program:
             Atom(r.head)
             if r.body is not None:
                 Atom(r.body)
-        self._rules = rs
-
-    @classmethod
-    def _wrap(cls, rules: frozenset) -> "Program":
-        # Internal fast path: rules already validated.
-        p = object.__new__(cls)
-        p._rules = rules
-        return p
+        self._items = rs
 
     @property
     def rules(self) -> frozenset[Rule]:
-        return self._rules
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(sorted(self._rules, key=_rule_key))
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __contains__(self, r: object) -> bool:
-        return r in self._rules
-
-    def __bool__(self) -> bool:
-        return bool(self._rules)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Program):
-            return NotImplemented
-        return self._rules == other._rules
-
-    def __hash__(self) -> int:
-        return hash(self._rules)
-
-    def __or__(self, other: "Program") -> "Program":
-        if not isinstance(other, Program):
-            return NotImplemented
-        return Program._wrap(self._rules | other._rules)
-
-    def __sub__(self, other: "Program") -> "Program":
-        if not isinstance(other, Program):
-            return NotImplemented
-        return Program._wrap(self._rules - other._rules)
+        return self._items
 
     def __repr__(self) -> str:
         return f"Program({{{', '.join(str(r) for r in self)}}})"
 
 
-class AtomSet:
-    """Shared behavior of atom-set values: immutable, sorted iteration."""
+class AtomSet(_SortedSet):
+    """A set of atoms: the base of :class:`Interpretation` and :class:`Alphabet`.
 
-    __slots__ = ("_atoms",)
+    The two compare equal when they hold the same atoms, and mix freely
+    under ``|``, ``&``, ``-``, ``<=`` and ``<``. Iteration is in atom order.
+    """
+
+    __slots__ = ()
 
     def __init__(self, atoms: Iterable[str] = ()):
-        self._atoms = frozenset(Atom(a) for a in atoms)
-
-    @classmethod
-    def _wrap(cls, atoms: frozenset):
-        s = object.__new__(cls)
-        s._atoms = atoms
-        return s
+        self._items = frozenset(Atom(a) for a in atoms)
 
     @property
     def atoms(self) -> frozenset[Atom]:
-        return self._atoms
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(sorted(self._atoms))
-
-    def __len__(self) -> int:
-        return len(self._atoms)
-
-    def __contains__(self, a: object) -> bool:
-        return a in self._atoms
-
-    def __bool__(self) -> bool:
-        return bool(self._atoms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AtomSet):
-            return NotImplemented
-        return self._atoms == other._atoms
-
-    def __hash__(self) -> int:
-        return hash(self._atoms)
-
-    def __or__(self, other: "AtomSet"):
-        if not isinstance(other, AtomSet):
-            return NotImplemented
-        return type(self)._wrap(self._atoms | other._atoms)
+        return self._items
 
     def __and__(self, other: "AtomSet"):
         if not isinstance(other, AtomSet):
             return NotImplemented
-        return type(self)._wrap(self._atoms & other._atoms)
-
-    def __sub__(self, other: "AtomSet"):
-        if not isinstance(other, AtomSet):
-            return NotImplemented
-        return type(self)._wrap(self._atoms - other._atoms)
+        return self._wrap(self._items & other._items)
 
     def __le__(self, other: "AtomSet") -> bool:
         if not isinstance(other, AtomSet):
             return NotImplemented
-        return self._atoms <= other._atoms
+        return self._items <= other._items
 
     def __lt__(self, other: "AtomSet") -> bool:
         if not isinstance(other, AtomSet):
             return NotImplemented
-        return self._atoms < other._atoms
+        return self._items < other._items
 
     def __str__(self) -> str:
         return "{" + ", ".join(self) + "}"
@@ -244,7 +239,7 @@ class Interpretation(AtomSet):
     """A set of atoms, identified with the facts-only program over it."""
 
     def as_program(self) -> Program:
-        return Program._wrap(frozenset(Rule(a) for a in self._atoms))
+        return Program._wrap(frozenset(Rule(a) for a in self._items))
 
     @classmethod
     def from_program(cls, program: Program) -> "Interpretation":

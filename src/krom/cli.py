@@ -164,7 +164,3 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "equiv" and out != "equivalent\n":
         return int(ExitStatus.NOT_EQUIVALENT)
     return int(ExitStatus.OK)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -88,7 +88,7 @@ def random_program(config: GenConfig) -> Program:
         else:
             head, body = divmod(index, n)
             chosen.append(Rule(atom(head), atom(body)))
-    return Program(chosen)
+    return Program._wrap(frozenset(chosen))
 
 
 def enumerate_programs(alphabet: Alphabet, max_rules: int) -> Iterator[Program]:
@@ -111,4 +111,4 @@ def enumerate_programs(alphabet: Alphabet, max_rules: int) -> Iterator[Program]:
     universe.extend(Rule(h, b) for h in names for b in names)
     for size in range(min(max_rules, len(universe)) + 1):
         for combo in itertools.combinations(universe, size):
-            yield Program(combo)
+            yield Program._wrap(frozenset(combo))

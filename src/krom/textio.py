@@ -19,6 +19,7 @@ by head and body, one statement per line, one space on each side of
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .algebra import _ATOM, Atom, Program, Rule, atoms, facts
@@ -95,19 +96,21 @@ def parse(source: bytes | str) -> Program:
     else:
         text = source
 
+    # Each distinct name becomes one shared Atom, validated once.
+    atom = functools.cache(Atom)
     rules = set()
     pos = 0
     while pos < len(text):
         m = _STATEMENT_RE.match(text, pos)
         if m["fact"]:
-            rules.add(Rule(Atom(m["head"])))
+            rules.add(Rule(atom(m["head"])))
         elif m["dot"]:
-            rules.add(Rule(Atom(m["head"]), Atom(m["body"])))
+            rules.add(Rule(atom(m["head"]), atom(m["body"])))
         elif m["head"] or m.end() < len(text):
             raise _error(text, m)
         pos = m.end()
 
-    return Program(rules)
+    return Program._wrap(frozenset(rules))
 
 
 def render(program: Program) -> str:

@@ -14,6 +14,19 @@ import re
 from krom import Alphabet, Atom, GenConfig, Interpretation, Program, Rule, atoms
 
 
+def admitted(program: Program) -> bool:
+    """True iff every head and body is an ``Atom`` and the public
+    constructor, given the program's rules, accepts them and rebuilds it.
+
+    Guards the paths that build programs without that constructor
+    (``parse``, ``random_program``, ``enumerate_programs``).
+    """
+    for r in program.rules:
+        if not isinstance(r.head, Atom) or not (r.body is None or isinstance(r.body, Atom)):
+            return False
+    return Program(program.rules) == program
+
+
 def unit_oracle(alphabet: Alphabet) -> Program:
     return Program(Rule(a, a) for a in alphabet.atoms)
 

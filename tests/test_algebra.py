@@ -145,6 +145,24 @@ class TestProgram:
         assert fact("a") in prog("a", "b<-a")
         assert rule("a", "b") not in prog("a")
 
+    def test_repr_is_str(self):
+        p = prog("b<-a", "a")
+        assert str(p) == repr(p) == "Program({a, b :- a})"
+
+    def test_operators_stay_among_programs(self):
+        assert Program() != Interpretation()
+        p, i = prog("a"), interp("a")
+        with pytest.raises(TypeError):
+            p | i
+        with pytest.raises(TypeError):
+            i | p
+        with pytest.raises(TypeError):
+            p - i
+        with pytest.raises(TypeError):
+            p <= p
+        with pytest.raises(TypeError):
+            p & p
+
 
 # -------------------------------------------- Interpretation / Alphabet
 
@@ -165,6 +183,7 @@ class TestAtomSets:
         assert list(i) == ["a", "b", "c"]
         assert str(i) == "{a, b, c}"
         assert str(Interpretation()) == "{}"
+        assert repr(interp("b", "a")) == "Interpretation(['a', 'b'])"
 
     def test_set_operators(self):
         assert interp("a") | interp("b") == interp("a", "b")
@@ -175,6 +194,13 @@ class TestAtomSets:
 
     def test_alphabet_and_interpretation_share_behavior(self):
         assert Alphabet(["a"]) | Alphabet(["b"]) == Alphabet(["a", "b"])
+        assert interp("a") == Alphabet(["a"])
+        assert hash(interp("a")) == hash(Alphabet(["a"]))
+        i, a = interp("a"), Alphabet(["b"])
+        assert type(i | a) is Interpretation
+        assert type(a | i) is Alphabet
+        assert type(a - i) is Alphabet
+        assert type(i & a) is Interpretation
 
 
 # ------------------------------------------------- structural partition

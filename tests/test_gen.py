@@ -14,7 +14,7 @@ from krom import (
     render,
     rule,
 )
-from oracles import random_program_oracle
+from oracles import admitted, random_program_oracle
 
 
 class TestGenConfig:
@@ -114,7 +114,9 @@ class TestRandomProgram:
                 fact_ratio=rng.choice([0.0, 1.0, rng.random()]),
                 seed=rng.getrandbits(64),
             )
-            assert random_program(cfg) == random_program_oracle(cfg), cfg
+            got = random_program(cfg)
+            assert got == random_program_oracle(cfg), cfg
+            assert admitted(got), cfg
 
     def test_outputs_round_trip(self):
         for seed in range(30):
@@ -137,7 +139,9 @@ class TestEnumeratePrograms:
     def test_count_matches_binomial_sum(self, n, max_rules):
         u = n + n * n
         expected = sum(math.comb(u, k) for k in range(max_rules + 1))
-        assert sum(1 for _ in enumerate_programs(Alphabet(f"x{i}" for i in range(n)), max_rules)) == expected
+        programs = list(enumerate_programs(Alphabet(f"x{i}" for i in range(n)), max_rules))
+        assert len(programs) == expected
+        assert all(admitted(p) for p in programs)
 
     def test_programs_are_unique_and_deterministic(self):
         a = Alphabet(["a", "b"])

@@ -18,7 +18,7 @@ from krom import (
     rule,
     to_dot,
 )
-from oracles import parse_oracle
+from oracles import admitted, parse_oracle
 
 names_st = st.from_regex(r"[a-z][A-Za-z0-9_]{0,5}", fullmatch=True)
 rules_st = st.one_of(
@@ -153,6 +153,7 @@ class TestParseErrors:
                 self.assert_inside(text, err)
             else:
                 assert got == expected, text
+                assert admitted(got), text
 
 
 class TestRender:
