@@ -24,6 +24,7 @@ from .algebra import (
     Program,
     _closure,
     _graph,
+    _reach_rows,
     atoms,
     compose,
     extend_omega,
@@ -132,6 +133,10 @@ def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
     a set of seed atoms is the union of reachability from each seed, so
     agreement on singletons lifts to agreement on every interpretation.
     Atoms outside both programs extend both sides by exactly themselves.
+    The least models are compared first, by one search each. The singleton
+    extensions are then read off each program's reach rows over the joint
+    alphabet, or found by one search per atom where those rows would be
+    mostly empty; ``algebra._reach_rows`` states the cost of each.
 
     The witness on a negative verdict is the first failing interpretation,
     checked in sorted order with the empty one first.
@@ -141,8 +146,18 @@ def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
     base = _closure(edges_k, facts_k)
     if base != _closure(edges_l, facts_l):
         return EquivVerdict(False, Interpretation())
-    for x in _joint_alphabet(k, l):
-        if base | _closure(edges_k, (x,)) != base | _closure(edges_l, (x,)):
+    universe = _joint_alphabet(k, l)
+    kernel_k = _reach_rows(facts_k, edges_k, universe)
+    kernel_l = kernel_k and _reach_rows(facts_l, edges_l, universe)
+    if kernel_l:
+        bits = kernel_k[0]
+        differs = (bits | row_k != bits | row_l for row_k, row_l in zip(kernel_k[2], kernel_l[2]))
+    else:
+        differs = (
+            base | _closure(edges_k, (x,)) != base | _closure(edges_l, (x,)) for x in universe
+        )
+    for x, differ in zip(universe, differs):
+        if differ:
             return EquivVerdict(False, Interpretation((x,)))
     return EquivVerdict(True)
 

@@ -333,7 +333,7 @@ class TestStar:
         assert star(prog("a"), Alphabet(["a", "b"])) == prog("a<-a", "b<-b", "a")
 
     def test_rejects_uncovered_atoms(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^program atoms not in the alphabet: a$"):
             star(prog("a<-b"), Alphabet(["b"]))
 
     def test_matches_reflexive_transitive_closure_on_proper_programs(self):
@@ -366,6 +366,10 @@ class TestPlus:
 
     def test_fact_program(self):
         assert plus(prog("a"), Alphabet(["a"])) == prog("a")
+
+    def test_rejects_uncovered_atoms(self):
+        with pytest.raises(ValueError, match=r"^program atoms not in the alphabet: a$"):
+            plus(prog("a<-b"), Alphabet(["b"]))
 
     @given(programs_st)
     def test_matches_oracle(self, p):

@@ -1,0 +1,156 @@
+"""Differential sweep of the reachability kernel behind ``star``, ``plus`` and
+``uniform_equiv``, and a scale guard on its depth-first search.
+
+The programs are drawn to give the condensation something to do: atoms
+split into blocks joined by cycles (several strongly connected components),
+edges between and back across blocks, self-loops, facts, and alphabets
+wider than the program, down to the empty program and the empty alphabet.
+The one search per atom that wide, sparse inputs take instead of the rows must
+give the same answers on the same sweep.
+"""
+
+import random
+
+import pytest
+
+from krom import (
+    Alphabet,
+    Atom,
+    EquivVerdict,
+    Interpretation,
+    atoms,
+    extend_omega,
+    Program,
+    Rule,
+    plus,
+    proper,
+    rule,
+    star,
+    uniform_equiv,
+    uniform_equiv_oracle,
+    unit,
+)
+from krom import algebra, equivalence
+from krom.algebra import _graph, _reach_rows
+from oracles import closure_oracle, plus_oracle, star_oracle
+
+NAMES = [Atom(f"a{i}") for i in range(9)]
+
+
+def shaped_program(rng):
+    """A program over 1-7 atoms, and an alphabet covering it that may hold
+    up to two atoms more."""
+    names = rng.sample(NAMES, rng.randint(1, 7))
+    cuts = sorted(rng.sample(range(1, len(names)), rng.randint(0, len(names) - 1)))
+    blocks = [names[i:j] for i, j in zip([0, *cuts], [*cuts, len(names)])]
+    rules = set()
+    for block in blocks:
+        if len(block) > 1 and rng.random() < 0.7:
+            rules.update(Rule(h, b) for b, h in zip(block, block[1:] + block[:1]))
+    for _ in range(rng.randint(0, len(names))):
+        i, j = sorted(rng.sample(range(len(blocks)), 2)) if len(blocks) > 1 else (0, 0)
+        rules.add(Rule(rng.choice(blocks[j]), rng.choice(blocks[i])))
+    if rng.random() < 0.3:
+        rules.add(Rule(rng.choice(names), rng.choice(names)))
+    rules.update(Rule(a, a) for a in names if rng.random() < 0.15)
+    rules.update(Rule(a) for a in names if rng.random() < 0.2)
+    extra = [a for a in NAMES if a not in names][: rng.randint(0, 2)]
+    return Program(rules), Alphabet(names + extra)
+
+
+def partner(rng, p, alphabet):
+    """A second program for the uniform decider: the same one, one rule
+    fewer, one shortcut more, or an unrelated draw."""
+    roll = rng.random()
+    if roll < 0.2 or not p:
+        return p
+    if roll < 0.45:
+        return Program(p.rules - {rng.choice(list(p))})
+    if roll < 0.7:
+        return p | Program([rule(rng.choice(sorted(alphabet)), rng.choice(sorted(alphabet)))])
+    return shaped_program(rng)[0]
+
+
+def check(p, alphabet, q):
+    assert star(p, alphabet) == star_oracle(p, alphabet)
+    assert star(proper(p), alphabet) == closure_oracle(proper(p), alphabet)
+    assert plus(p, alphabet) == plus_oracle(p, alphabet)
+    assert uniform_equiv(p, q) == uniform_equiv_oracle(p, q)
+    assert uniform_equiv(q, p) == uniform_equiv_oracle(q, p)
+
+
+def test_empty_program_and_alphabet():
+    check(Program(), Alphabet(), Program())
+    check(Program(), Alphabet(["a"]), Program([rule("a", "a")]))
+
+
+def test_sweep_against_oracles():
+    rng = random.Random(1072)
+    for _ in range(2000):
+        p, alphabet = shaped_program(rng)
+        check(p, alphabet, partner(rng, p, alphabet))
+
+
+def answers(p, alphabet, q):
+    return star(p, alphabet), plus(p, alphabet), uniform_equiv(p, q), uniform_equiv(q, p)
+
+
+def test_sweep_without_rows(monkeypatch):
+    rng = random.Random(1072)
+    cases = []
+    for _ in range(2000):
+        p, alphabet = shaped_program(rng)
+        q = partner(rng, p, alphabet)
+        cases.append(((p, alphabet, q), answers(p, alphabet, q)))
+    monkeypatch.setattr(algebra, "_reach_rows", lambda *args: None)
+    monkeypatch.setattr(equivalence, "_reach_rows", lambda *args: None)
+    for case, expected in cases:
+        assert answers(*case) == expected
+
+
+NAMES_1000 = [Atom(f"x{i:04d}") for i in range(1000)]
+CHAIN = Program(Rule(h, b) for b, h in zip(NAMES_1000, NAMES_1000[1:]))
+HUB = Program(Rule(NAMES_1000[0], b) for b in NAMES_1000[1:])
+
+
+def naive_uniform(k, l):
+    """The singleton test of ``uniform_equiv``, one ``extend_omega`` at a time."""
+    for interp in [Interpretation(), *(Interpretation([x]) for x in sorted(atoms(k | l)))]:
+        if extend_omega(k, interp) != extend_omega(l, interp):
+            return EquivVerdict(False, interp)
+    return EquivVerdict(True)
+
+
+def test_rows_only_where_they_are_dense():
+    assert _reach_rows(*_graph(CHAIN), NAMES_1000) is not None
+    assert _reach_rows(*_graph(HUB), NAMES_1000) is None
+    assert _reach_rows(*_graph(Program()), NAMES_1000) is None
+
+
+def test_wide_sparse_inputs():
+    alphabet = Alphabet(NAMES_1000)
+    assert star(Program(), alphabet) == unit(alphabet)
+    assert plus(Program(), alphabet) == Program()
+    assert star(HUB, alphabet) == HUB | unit(alphabet)
+    assert plus(HUB, alphabet) == HUB
+    late = HUB | Program([Rule(NAMES_1000[-1], NAMES_1000[-2])])
+    for k, l in [(HUB, late), (late, HUB), (CHAIN, HUB), (CHAIN, CHAIN | late), (HUB, HUB)]:
+        assert uniform_equiv(k, l) == naive_uniform(k, l)
+    assert uniform_equiv(HUB, late) == EquivVerdict(False, Interpretation([NAMES_1000[-2]]))
+
+
+def test_different_least_models_need_no_rows(monkeypatch):
+    def no_rows(*args):
+        pytest.fail("the least models differ, so no rows are needed")
+
+    monkeypatch.setattr(equivalence, "_reach_rows", no_rows)
+    with_fact = CHAIN | Program([Rule(NAMES_1000[500])])
+    assert uniform_equiv(CHAIN, with_fact) == EquivVerdict(False, Interpretation())
+
+
+def test_long_chain_needs_no_recursion():
+    names = [Atom(f"x{i:05d}") for i in range(20000)]
+    chain = Program(Rule(h, b) for b, h in zip(names, names[1:]))
+    reverse = Program(Rule(b, h) for b, h in zip(names, names[1:]))
+    assert uniform_equiv(chain, chain) == EquivVerdict(True)
+    assert uniform_equiv(chain, reverse) == EquivVerdict(False, Interpretation([names[0]]))
