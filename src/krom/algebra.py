@@ -28,8 +28,8 @@ valid, through the unchecked ``_wrap``.
 from __future__ import annotations
 
 import re
-from functools import reduce
-from itertools import chain, compress
+from functools import partial, reduce
+from itertools import chain, compress, takewhile
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -383,20 +383,47 @@ def _paths(program: Program, alphabet: Alphabet, strict: bool) -> Program:
     # of any length otherwise.
     _require_covers(program, alphabet)
     universe = sorted(alphabet.atoms)
-    fact_atoms, edges = _graph(program)
-    kernel = _reach_rows(fact_atoms, edges, universe)
-    if kernel is None:
-        out = {Rule(h) for h in _closure(edges, fact_atoms)}
-        for b in universe:
-            out.update(Rule(h, b) for h in _closure(edges, edges.get(b, ()) if strict else (b,)))
-        return Program._wrap(frozenset(out))
-    base, succ, rows = kernel
-    if strict:
-        rows = [reduce(or_, map(rows.__getitem__, heads), 0) for heads in succ]
+    members, [(base, reaches)] = _reaches([program], universe, strict)
     return Program._wrap(frozenset(chain(
-        map(Rule, _members(base, universe)),
-        (Rule(h, b) for b, row in zip(universe, rows) for h in _members(row, universe)),
+        map(Rule, members(base)),
+        (Rule(h, b) for b, reach in zip(universe, reaches) for h in members(reach)),
     )))
+
+
+def _reaches(programs: list[Program], universe: list, strict: bool = False) -> tuple:
+    # What every atom of the sorted universe, which must cover the programs'
+    # atoms, reaches in each program: by a path of at least one edge if
+    # strict, of any length otherwise. Returns a function that lists the
+    # atoms of a reach, and per program its least model and its reaches in
+    # universe order. Either every program gets reach rows (bitsets) or
+    # every one gets one search per atom (sets), so `|` and `!=` compare
+    # least models and reaches across programs on either path.
+    #
+    # Rows are built up front; a search runs only when its reach is read.
+    # So programs whose least models differ get the searches, and a caller
+    # that compares the least models first pays for no reach at all.
+    graphs = [_graph(p) for p in programs]
+    bases = [_closure(edges, fact_atoms) for fact_atoms, edges in graphs]
+    # A kernel is a non-empty tuple, so this stops at the first None.
+    kernels = list(takewhile(bool, (
+        _reach_rows(*graph, universe)
+        for graph in graphs if all(base == bases[0] for base in bases)
+    )))
+    if len(kernels) < len(graphs):
+        return iter, [
+            (base, map(partial(_search, edges, strict), universe))
+            for base, (_, edges) in zip(bases, graphs)
+        ]
+    return partial(_members, universe=universe), [
+        (base, [reduce(or_, map(rows.__getitem__, heads), 0) for heads in succ])
+        if strict else (base, rows)
+        for base, succ, rows in kernels
+    ]
+
+
+def _search(edges: dict[Atom, list[Atom]], strict: bool, b: Atom) -> set:
+    # What b reaches by one search: from its successors if strict.
+    return _closure(edges, edges.get(b, ()) if strict else (b,))
 
 
 def _graph(program: Program) -> tuple[list[Atom], dict[Atom, list[Atom]]]:
@@ -448,7 +475,7 @@ def _reach_rows(
     # weighs the rows' bits, counted once per atom, against the atoms on
     # the longest path from each atom, which the search from it must
     # visit. Above 64 bits per atom plus 64 per such visit (a word per
-    # visit), it returns None and callers run the searches instead. The
+    # visit), it returns None and `_reaches` runs the searches instead. The
     # longest path can undercount the reach, so wide shallow graphs may
     # get searches where rows would be faster; never the reverse.
     index = {a: i for i, a in enumerate(universe)}

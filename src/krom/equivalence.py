@@ -22,9 +22,7 @@ from .algebra import (
     InternalError,
     Interpretation,
     Program,
-    _closure,
-    _graph,
-    _reach_rows,
+    _reaches,
     atoms,
     compose,
     extend_omega,
@@ -133,31 +131,22 @@ def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
     a set of seed atoms is the union of reachability from each seed, so
     agreement on singletons lifts to agreement on every interpretation.
     Atoms outside both programs extend both sides by exactly themselves.
-    The least models are compared first, by one search each. The singleton
-    extensions are then read off each program's reach rows over the joint
-    alphabet, or found by one search per atom where those rows would be
-    mostly empty; ``algebra._reach_rows`` states the cost of each.
+    The least models and the singleton extensions come from
+    ``algebra._reaches``, which makes one choice for both programs: reach
+    rows over the joint alphabet, or one search per atom where those rows
+    would be mostly empty (``algebra._reach_rows`` states the cost of
+    each). The least models are compared first; where they differ, no
+    reach is found at all.
 
     The witness on a negative verdict is the first failing interpretation,
     checked in sorted order with the empty one first.
     """
-    facts_k, edges_k = _graph(k)
-    facts_l, edges_l = _graph(l)
-    base = _closure(edges_k, facts_k)
-    if base != _closure(edges_l, facts_l):
-        return EquivVerdict(False, Interpretation())
     universe = _joint_alphabet(k, l)
-    kernel_k = _reach_rows(facts_k, edges_k, universe)
-    kernel_l = kernel_k and _reach_rows(facts_l, edges_l, universe)
-    if kernel_l:
-        bits = kernel_k[0]
-        differs = (bits | row_k != bits | row_l for row_k, row_l in zip(kernel_k[2], kernel_l[2]))
-    else:
-        differs = (
-            base | _closure(edges_k, (x,)) != base | _closure(edges_l, (x,)) for x in universe
-        )
-    for x, differ in zip(universe, differs):
-        if differ:
+    _, [(base, reaches_k), (base_l, reaches_l)] = _reaches([k, l], universe)
+    if base != base_l:
+        return EquivVerdict(False, Interpretation())
+    for x, reach_k, reach_l in zip(universe, reaches_k, reaches_l):
+        if base | reach_k != base | reach_l:
             return EquivVerdict(False, Interpretation((x,)))
     return EquivVerdict(True)
 

@@ -32,6 +32,9 @@ class GenConfig(namedtuple("GenConfig", "atom_count rule_count fact_ratio seed")
     __slots__ = ()
 
     def __new__(cls, atom_count: int, rule_count: int, fact_ratio: float = 0.5, seed: int = 0):
+        for name, value in ("atom_count", atom_count), ("rule_count", rule_count), ("seed", seed):
+            if not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if atom_count < 1:
             raise ValueError(f"atom_count must be positive, got {atom_count}")
         if rule_count < 0:

@@ -45,6 +45,21 @@ class TestGenConfig:
             GenConfig(**kwargs)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, 1.5), "rule_count must be an int, got 1.5"),
+            ((2.5, 1), "atom_count must be an int, got 2.5"),
+            (("3", 1), "atom_count must be an int, got '3'"),
+            ((2, 1, 0.5, 1.0), "seed must be an int, got 1.0"),
+            ((2, None), "rule_count must be an int, got None"),
+        ],
+    )
+    def test_rejects_non_int_counts_and_seed(self, args, message):
+        with pytest.raises(TypeError) as excinfo:
+            GenConfig(*args)
+        assert str(excinfo.value) == message
+
     def test_positional_construction_and_repr(self):
         assert GenConfig(3, 4) == GenConfig(atom_count=3, rule_count=4, fact_ratio=0.5, seed=0)
         assert repr(GenConfig(3, 4)) == (

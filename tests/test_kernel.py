@@ -25,12 +25,13 @@ from krom import (
     plus,
     proper,
     rule,
+    ss_equiv_semantic,
     star,
     uniform_equiv,
     uniform_equiv_oracle,
     unit,
 )
-from krom import algebra, equivalence
+from krom import algebra
 from krom.algebra import _graph, _reach_rows
 from oracles import closure_oracle, plus_oracle, star_oracle
 
@@ -91,6 +92,22 @@ def test_sweep_against_oracles():
         check(p, alphabet, partner(rng, p, alphabet))
 
 
+def test_uniform_equivalence_is_equal_stars():
+    """K and L are uniformly equivalent iff K* and L* compose identically
+    with every interpretation, and the first interpretation that tells
+    them apart is the same: the empty one, or the least single atom."""
+    rng = random.Random(1129)
+    negative = 0
+    for _ in range(600):
+        p, alphabet = shaped_program(rng)
+        q = partner(rng, p, alphabet)
+        a = alphabet | atoms(q)
+        verdict = uniform_equiv(p, q)
+        assert verdict == ss_equiv_semantic(star(p, a), star(q, a))
+        negative += not verdict
+    assert 100 < negative < 500
+
+
 def answers(p, alphabet, q):
     return star(p, alphabet), plus(p, alphabet), uniform_equiv(p, q), uniform_equiv(q, p)
 
@@ -103,7 +120,6 @@ def test_sweep_without_rows(monkeypatch):
         q = partner(rng, p, alphabet)
         cases.append(((p, alphabet, q), answers(p, alphabet, q)))
     monkeypatch.setattr(algebra, "_reach_rows", lambda *args: None)
-    monkeypatch.setattr(equivalence, "_reach_rows", lambda *args: None)
     for case, expected in cases:
         assert answers(*case) == expected
 
@@ -143,7 +159,7 @@ def test_different_least_models_need_no_rows(monkeypatch):
     def no_rows(*args):
         pytest.fail("the least models differ, so no rows are needed")
 
-    monkeypatch.setattr(equivalence, "_reach_rows", no_rows)
+    monkeypatch.setattr(algebra, "_reach_rows", no_rows)
     with_fact = CHAIN | Program([Rule(NAMES_1000[500])])
     assert uniform_equiv(CHAIN, with_fact) == EquivVerdict(False, Interpretation())
 
