@@ -14,7 +14,10 @@ edge from b to a), and most questions about it are reachability questions.
 and run one search from it. ``star``, ``plus`` and
 ``equivalence.uniform_equiv`` ask what every atom reaches; they read it off
 one condensation pass that gives each atom a bitset of the atoms it reaches,
-or run one search per atom where those bitsets would be mostly empty.
+or run one search per atom where those bitsets would be mostly empty. The
+kernel numbers its universe itself: the alphabet for ``star`` and ``plus``,
+and for ``uniform_equiv`` both programs' atoms, read off the digraphs it
+builds.
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
 
@@ -298,23 +301,25 @@ def compose(k: Program, l: Program) -> Program:
       ``b`` is a fact of ``l``,
     * the proper rule ``a :- c`` for every ``a :- b`` in ``k`` chained with
       ``b :- c`` in ``l``.
+
+    A fact ``b`` is the rule ``b`` with an empty body, so the last two sets
+    are one join of ``k``'s bodies with ``l``'s heads: each ``a :- b`` of
+    ``k`` meets every rule of ``l`` with head ``b``, and gives ``a :- c``
+    where that rule is ``b :- c``, or the fact ``a`` where it is the fact
+    ``b``.
     """
-    l_facts = set()
-    l_bodies: dict[Atom, list[Atom]] = {}
+    # l's rule bodies keyed by their head; a fact's body is None, and
+    # Rule(a, None) is the fact a.
+    l_bodies: dict[Atom, list[Atom | None]] = {}
     for r in l.rules:
-        if r.body is None:
-            l_facts.add(r.head)
-        else:
-            l_bodies.setdefault(r.head, []).append(r.body)
+        l_bodies.setdefault(r.head, []).append(r.body)
     out = set()
     for r in k.rules:
         if r.body is None:
             out.add(r)
-            continue
-        if r.body in l_facts:
-            out.add(Rule(r.head))
-        for c in l_bodies.get(r.body, ()):
-            out.add(Rule(r.head, c))
+        else:
+            for c in l_bodies.get(r.body, ()):
+                out.add(Rule(r.head, c))
     return Program._wrap(frozenset(out))
 
 
@@ -327,8 +332,8 @@ def unit(alphabet: Alphabet) -> Program:
     return Program._wrap(frozenset(Rule(a, a) for a in alphabet.atoms))
 
 
-def _require_covers(program: Program, alphabet: Alphabet) -> None:
-    extra = atoms(program).atoms - alphabet.atoms
+def _require_covers(program_atoms: set | frozenset, alphabet: Alphabet) -> None:
+    extra = program_atoms - alphabet.atoms
     if extra:
         missing = ", ".join(sorted(extra))
         raise ValueError(f"program atoms not in the alphabet: {missing}")
@@ -342,7 +347,7 @@ def power(program: Program, n: int, alphabet: Alphabet) -> Program:
     """
     if n < 0:
         raise ValueError(f"exponent must be non-negative, got {n}")
-    _require_covers(program, alphabet)
+    _require_covers(atoms(program).atoms, alphabet)
     if n == 0:
         return unit(alphabet)
     result = program
@@ -381,40 +386,52 @@ def _paths(program: Program, alphabet: Alphabet, strict: bool) -> Program:
     # The least model as facts, and h :- b for every b in the alphabet and
     # every h reachable from b by a path of at least one edge if strict,
     # of any length otherwise.
-    _require_covers(program, alphabet)
-    universe = sorted(alphabet.atoms)
-    members, [(base, reaches)] = _reaches([program], universe, strict)
+    universe, members, [(base, reaches)] = _reaches([program], alphabet, strict)
     return Program._wrap(frozenset(chain(
         map(Rule, members(base)),
         (Rule(h, b) for b, reach in zip(universe, reaches) for h in members(reach)),
     )))
 
 
-def _reaches(programs: list[Program], universe: list, strict: bool = False) -> tuple:
-    # What every atom of the sorted universe, which must cover the programs'
-    # atoms, reaches in each program: by a path of at least one edge if
-    # strict, of any length otherwise. Returns a function that lists the
-    # atoms of a reach, and per program its least model and its reaches in
-    # universe order. Either every program gets reach rows (bitsets) or
-    # every one gets one search per atom (sets), so `|` and `!=` compare
-    # least models and reaches across programs on either path.
+def _reaches(
+    programs: list[Program], alphabet: Alphabet | None = None, strict: bool = False
+) -> tuple:
+    # What every atom of the universe reaches in each program: by a path of
+    # at least one edge if strict, of any length otherwise. The universe is
+    # the alphabet, which must cover the programs' atoms, or else the
+    # programs' atoms, read off their graphs. It is sorted and numbered here
+    # and nowhere else: atom i of the sorted universe is bit i of a row.
+    # Returns the sorted universe, a function that lists the atoms of a
+    # reach, and per program its least model and its reaches in universe
+    # order. Either every program gets reach rows (bitsets) or every one
+    # gets one search per atom (sets), so `|` and `!=` compare least models
+    # and reaches across programs on either path.
     #
     # Rows are built up front; a search runs only when its reach is read.
     # So programs whose least models differ get the searches, and a caller
     # that compares the least models first pays for no reach at all.
     graphs = [_graph(p) for p in programs]
+    program_atoms = set()
+    for fact_atoms, edges in graphs:
+        program_atoms.update(fact_atoms, edges, *edges.values())
+    if alphabet is None:
+        universe = sorted(program_atoms)
+    else:
+        _require_covers(program_atoms, alphabet)
+        universe = sorted(alphabet.atoms)
+    index = {a: i for i, a in enumerate(universe)}
     bases = [_closure(edges, fact_atoms) for fact_atoms, edges in graphs]
     # A kernel is a non-empty tuple, so this stops at the first None.
     kernels = list(takewhile(bool, (
-        _reach_rows(*graph, universe)
+        _reach_rows(*graph, index)
         for graph in graphs if all(base == bases[0] for base in bases)
     )))
     if len(kernels) < len(graphs):
-        return iter, [
+        return universe, iter, [
             (base, map(partial(_search, edges, strict), universe))
             for base, (_, edges) in zip(bases, graphs)
         ]
-    return partial(_members, universe=universe), [
+    return universe, partial(_members, universe=universe), [
         (base, [reduce(or_, map(rows.__getitem__, heads), 0) for heads in succ])
         if strict else (base, rows)
         for base, succ, rows in kernels
@@ -452,10 +469,10 @@ def _closure(edges: dict[Atom, list[Atom]], seeds: Iterable[Atom]) -> set:
 
 
 def _reach_rows(
-    fact_atoms: list[Atom], edges: dict[Atom, list[Atom]], universe: list
+    fact_atoms: list[Atom], edges: dict[Atom, list[Atom]], index: dict[Atom, int]
 ) -> tuple[int, list[list[int]], list[int]] | None:
-    # The digraph of `_graph` on the sorted universe, which must cover its
-    # atoms. Atom i is bit i, so ascending bits are atoms in sorted order.
+    # The digraph of `_graph` on the universe `_reaches` numbers, which must
+    # cover its atoms: `index` maps the i-th atom in sorted order to bit i.
     # Returns the least model as a bitset, each atom's successors (the
     # heads of the rules it is the body of) and each atom's reach row: the
     # bitset of the atoms reachable from it, itself included.
@@ -478,9 +495,8 @@ def _reach_rows(
     # visit), it returns None and `_reaches` runs the searches instead. The
     # longest path can undercount the reach, so wide shallow graphs may
     # get searches where rows would be faster; never the reverse.
-    index = {a: i for i, a in enumerate(universe)}
-    succ = [[index[h] for h in edges.get(a, ())] for a in universe]
-    n = len(universe)
+    succ = [[index[h] for h in edges.get(a, ())] for a in index]
+    n = len(index)
     num = [0] * n  # DFS number from 1; 0 while unvisited
     low = [0] * n
     comp = [-1] * n  # component number, in completion order; -1 until then

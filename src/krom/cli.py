@@ -13,8 +13,17 @@ import enum
 import functools
 import sys
 
-from .algebra import Alphabet, InternalError, Program, atoms, omega
-from . import algebra
+from .algebra import (
+    Alphabet,
+    InternalError,
+    Program,
+    atoms,
+    compose,
+    omega,
+    plus,
+    power,
+    star,
+)
 from .equivalence import (
     lm_equiv,
     minimize,
@@ -94,14 +103,14 @@ _COMMANDS = {
     "lm": ("print the least model, one atom per line", ["file"],
            lambda args, p: "".join(f"{a}\n" for a in omega(p))),
     "compose": ("print the sequential composition of two programs", ["file1", "file2"],
-                lambda args, k, l: render(algebra.compose(k, l))),
+                lambda args, k, l: render(compose(k, l))),
     "power": ("print the n-fold composition of a program",
               ["file", ("n", {"type": int}), _ALPHABET],
-              lambda args, p: render(algebra.power(p, args.n, _alphabet_for(p, args.alphabet)))),
+              lambda args, p: render(power(p, args.n, _alphabet_for(p, args.alphabet)))),
     "star": ("print the union of all composition powers", ["file", _ALPHABET],
-             lambda args, p: render(algebra.star(p, _alphabet_for(p, args.alphabet)))),
+             lambda args, p: render(star(p, _alphabet_for(p, args.alphabet)))),
     "plus": ("print the union of all positive composition powers", ["file", _ALPHABET],
-             lambda args, p: render(algebra.plus(p, _alphabet_for(p, args.alphabet)))),
+             lambda args, p: render(plus(p, _alphabet_for(p, args.alphabet)))),
     "equiv": ("decide program equivalence (exit 0 equal, 1 not)",
               [("--mode", {"choices": ["lm", "ss", "uniform"], "required": True}),
                ("--oracle", {"action": "store_true",

@@ -133,7 +133,7 @@ def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
     Atoms outside both programs extend both sides by exactly themselves.
     The least models and the singleton extensions come from
     ``algebra._reaches``, which makes one choice for both programs: reach
-    rows over the joint alphabet, or one search per atom where those rows
+    rows over both programs' atoms, or one search per atom where those rows
     would be mostly empty (``algebra._reach_rows`` states the cost of
     each). The least models are compared first; where they differ, no
     reach is found at all.
@@ -141,8 +141,7 @@ def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
     The witness on a negative verdict is the first failing interpretation,
     checked in sorted order with the empty one first.
     """
-    universe = _joint_alphabet(k, l)
-    _, [(base, reaches_k), (base_l, reaches_l)] = _reaches([k, l], universe)
+    universe, _, [(base, reaches_k), (base_l, reaches_l)] = _reaches([k, l])
     if base != base_l:
         return EquivVerdict(False, Interpretation())
     for x, reach_k, reach_l in zip(universe, reaches_k, reaches_l):

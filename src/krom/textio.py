@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import re
 
-from .algebra import _ATOM, Atom, Program, Rule, atoms, facts
+from .algebra import _ATOM, Atom, Program, Rule, _graph
 
 __all__ = ["ParseError", "parse", "render", "to_dot"]
 
@@ -129,17 +129,16 @@ def to_dot(program: Program) -> str:
     Fact atoms get a doubled border (``peripheries=2``). Nodes and edges are
     emitted in sorted order, so the output is deterministic.
     """
-    fact_atoms = facts(program).atoms
+    facts, edges = _graph(program)
+    fact_atoms = set(facts)
     lines = ["digraph program {"]
-    for a in atoms(program):
+    for a in sorted(fact_atoms.union(edges, *edges.values())):
         if a in fact_atoms:
             lines.append(f'  "{a}" [peripheries=2];')
         else:
             lines.append(f'  "{a}";')
-    edges = sorted(
-        (r.body, r.head) for r in program.rules if r.body is not None
-    )
-    for src, dst in edges:
-        lines.append(f'  "{src}" -> "{dst}";')
+    for src in sorted(edges):
+        for dst in sorted(edges[src]):
+            lines.append(f'  "{src}" -> "{dst}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

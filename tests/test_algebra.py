@@ -310,8 +310,10 @@ class TestPower:
             power(prog("a"), -1, Alphabet(["a"]))
 
     def test_rejects_uncovered_atoms(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^program atoms not in the alphabet: b$"):
             power(prog("a<-b"), 2, Alphabet(["a"]))
+        with pytest.raises(ValueError, match=r"^program atoms not in the alphabet: a, c, d$"):
+            power(prog("c", "a<-b", "b<-d"), 2, Alphabet(["b"]))
 
     @given(programs_st, st.integers(min_value=0, max_value=4))
     def test_matches_iterated_oracle(self, p, n):
@@ -335,6 +337,8 @@ class TestStar:
     def test_rejects_uncovered_atoms(self):
         with pytest.raises(ValueError, match=r"^program atoms not in the alphabet: a$"):
             star(prog("a<-b"), Alphabet(["b"]))
+        with pytest.raises(ValueError, match=r"^program atoms not in the alphabet: a, c, d$"):
+            star(prog("c", "a<-b", "b<-d"), Alphabet(["b"]))
 
     def test_matches_reflexive_transitive_closure_on_proper_programs(self):
         rng = random.Random(4217)
@@ -370,6 +374,8 @@ class TestPlus:
     def test_rejects_uncovered_atoms(self):
         with pytest.raises(ValueError, match=r"^program atoms not in the alphabet: a$"):
             plus(prog("a<-b"), Alphabet(["b"]))
+        with pytest.raises(ValueError, match=r"^program atoms not in the alphabet: a, c, d$"):
+            plus(prog("c", "a<-b", "b<-d"), Alphabet(["b"]))
 
     @given(programs_st)
     def test_matches_oracle(self, p):

@@ -262,13 +262,15 @@ class TestUsageAndErrors:
         import krom.cli as cli_mod
         from krom import InternalError
 
-        def boom(_):
+        def boom(*_):
             raise InternalError("stabilization bound exceeded")
 
         monkeypatch.setattr(cli_mod, "omega", boom)
-        code, out, err = run("lm", write("a.\n"))
-        assert (code, out) == (3, "")
-        assert err == "internal error: stabilization bound exceeded\n"
+        monkeypatch.setattr(cli_mod, "star", boom)
+        for command in ("lm", "star"):
+            code, out, err = run(command, write("a.\n"))
+            assert (code, out) == (3, "")
+            assert err == "internal error: stabilization bound exceeded\n"
 
 
 class TestOutputContracts:
