@@ -482,26 +482,28 @@ def _reach_rows(
     # component's row is its members ORed with the rows of the components
     # below it (Purdom, BIT 1970; Nuutila 1995). Time is O(n + m) steps,
     # each an OR of rows of up to n bits. A row spans every bit up to the
-    # highest atom it reaches, so the rows take up to n * components / 8
-    # bytes: n * n / 16 for a chain of n atoms, and `uniform_equiv` of a
-    # 100,000-atom chain with itself needs about 1.25 GB.
+    # highest atom it reaches, its own bit at least, so the rows, counted
+    # once per atom, hold between n * (n + 1) / 2 and n * n bits. They are
+    # built once per component: n * n / 16 bytes for a chain of n atoms,
+    # and `uniform_equiv` of a 100,000-atom chain with itself needs about
+    # 1.25 GB.
     #
     # Rows that reach few atoms waste most of their bits: n atoms that
     # reach only themselves would take n * n / 16 bytes where one search
     # per atom visits n atoms in all. So before it builds any row, the pass
-    # weighs the rows' bits, counted once per atom, against the atoms on
-    # the longest path from each atom, which the search from it must
-    # visit. Above 64 bits per atom plus 64 per such visit (a word per
-    # visit), it returns None and `_reaches` runs the searches instead. The
-    # longest path can undercount the reach, so wide shallow graphs may
-    # get searches where rows would be faster; never the reverse.
+    # weighs the n * n bits against the atoms on the longest path from each
+    # atom, which the search from it must visit. Above 64 bits per atom
+    # plus 64 per such visit (a word per visit), it returns None and
+    # `_reaches` runs the searches instead. Both sides can miss: the width
+    # by under 2x, the longest path by undercounting the reach. So wide
+    # shallow graphs may get searches where rows would be faster; never
+    # the reverse.
     succ = [[index[h] for h in edges.get(a, ())] for a in index]
     n = len(index)
     num = [0] * n  # DFS number from 1; 0 while unvisited
     low = [0] * n
     comp = [-1] * n  # component number, in completion order; -1 until then
     parts = []  # per component: its members and the components below it
-    top = []  # per component: the highest atom it reaches
     depth = []  # per component: the most atoms on one path from it
     stack: list[int] = []
     count = 0
@@ -535,10 +537,9 @@ def _reach_rows(
                         members.append(w)
                         comp[w] = len(parts)
                     below = {comp[x] for w in members for x in succ[w]} - {len(parts)}
-                    top.append(max(chain(members, map(top.__getitem__, below))))
                     depth.append(len(members) + max(map(depth.__getitem__, below), default=0))
                     parts.append((members, below))
-    if sum(len(m) * (t + 1 - 64 * d) for (m, _), t, d in zip(parts, top, depth)) > 64 * n:
+    if n * n > 64 * (n + sum(len(m) * d for (m, _), d in zip(parts, depth))):
         return None
     rows: list[int] = []
     for members, below in parts:

@@ -16,7 +16,7 @@ sampling silently.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .algebra import (
     InternalError,
@@ -65,10 +65,6 @@ class EquivVerdict(NamedTuple):
         return self.equal
 
 
-def _joint_alphabet(k: Program, l: Program) -> list:
-    return sorted((atoms(k) | atoms(l)).atoms)
-
-
 def _check_bound(universe: list, max_atoms: int) -> None:
     if len(universe) > max_atoms:
         raise AlphabetTooLargeError(
@@ -76,12 +72,22 @@ def _check_bound(universe: list, max_atoms: int) -> None:
         )
 
 
-def _interpretations(universe: list) -> Iterator[Interpretation]:
-    # All subsets, smallest first, lexicographic within a size. Witnesses
-    # returned by the oracles are therefore minimal and reproducible.
+def _first_difference(
+    k: Program, l: Program, max_atoms: int, differ: Callable[[Program], bool]
+) -> EquivVerdict:
+    # An oracle's verdict: the first interpretation I over the joint
+    # alphabet for which `differ` tells the programs apart, given I as a
+    # program of facts, is the witness. Interpretations come smallest
+    # first, lexicographic within a size, so witnesses are minimal and
+    # reproducible.
+    universe = sorted((atoms(k) | atoms(l)).atoms)
+    _check_bound(universe, max_atoms)
     for size in range(len(universe) + 1):
         for combo in itertools.combinations(universe, size):
-            yield Interpretation(combo)
+            interp = Interpretation(combo)
+            if differ(interp.as_program()):
+                return EquivVerdict(False, interp)
+    return EquivVerdict(True)
 
 
 def lm_equiv(k: Program, l: Program) -> EquivVerdict:
@@ -114,12 +120,7 @@ def ss_equiv_semantic(
     blind to proper rules whose head is a fact of the same program; see the
     :func:`ss_equiv` caveat.
     """
-    universe = _joint_alphabet(k, l)
-    _check_bound(universe, max_atoms)
-    for interp in _interpretations(universe):
-        if compose(k, interp.as_program()) != compose(l, interp.as_program()):
-            return EquivVerdict(False, interp)
-    return EquivVerdict(True)
+    return _first_difference(k, l, max_atoms, lambda i: compose(k, i) != compose(l, i))
 
 
 def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
@@ -133,10 +134,10 @@ def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
     Atoms outside both programs extend both sides by exactly themselves.
     The least models and the singleton extensions come from
     ``algebra._reaches``, which makes one choice for both programs: reach
-    rows over both programs' atoms, or one search per atom where those rows
-    would be mostly empty (``algebra._reach_rows`` states the cost of
-    each). The least models are compared first; where they differ, no
-    reach is found at all.
+    rows over both programs' atoms, or one search per atom where the paths
+    are too short for rows as wide as that universe (``algebra._reach_rows``
+    weighs the two). The least models are compared first; where they
+    differ, no reach is found at all.
 
     The witness on a negative verdict is the first failing interpretation,
     checked in sorted order with the empty one first.
@@ -156,13 +157,7 @@ def uniform_equiv_oracle(
     """Uniform equivalence by brute force: compare the least models of
     ``K | I`` and ``L | I`` for every interpretation I over the joint
     alphabet."""
-    universe = _joint_alphabet(k, l)
-    _check_bound(universe, max_atoms)
-    for interp in _interpretations(universe):
-        ext = interp.as_program()
-        if omega(k | ext) != omega(l | ext):
-            return EquivVerdict(False, interp)
-    return EquivVerdict(True)
+    return _first_difference(k, l, max_atoms, lambda i: omega(k | i) != omega(l | i))
 
 
 def lm_oracle(program: Program, max_atoms: int = DEFAULT_ORACLE_BOUND) -> Interpretation:

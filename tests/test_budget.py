@@ -1,12 +1,14 @@
-"""Memory and time budgets for wide, sparse inputs to the reachability kernel.
+"""Memory and time budgets for wide inputs to the reachability kernel and for
+the entry points that read, write or enumerate many atoms.
 
 Each case runs in its own child interpreter, one at a time, that caps its
 address space at 256 MiB before it imports ``krom``; the parent waits at
-most 15 s. Reach rows over these inputs would be mostly empty: ``star`` of
-the empty program would build 50,000 rows of up to 50,000 bits, and both
-``uniform_equiv`` cases run out of memory under the cap. One search per
-atom answers each in linear time and memory, so these cases pin the
-choice between the two.
+most 15 s. Reach rows over the kernel's inputs would be mostly empty:
+``star`` of the empty program would build 50,000 rows of up to 50,000
+bits, and both ``uniform_equiv`` cases run out of memory under the cap.
+One search per atom answers each in linear time and memory, so these
+cases pin the choice between the two. The rest are linear in their input
+or refuse it before they enumerate anything.
 """
 
 import os
@@ -27,8 +29,9 @@ names = [Atom(f"x{{i:06d}}") for i in range(100000)]
 """
 
 
-def run_within_budget(code):
-    """Run ``code`` after the prelude in a capped child; return its stdout."""
+def run_within_budget(code, returncode=0):
+    """Run ``code`` after the prelude in a capped child that must exit with
+    ``returncode``; return the finished process."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     try:
         done = subprocess.run(
@@ -40,8 +43,14 @@ def run_within_budget(code):
         )
     except subprocess.TimeoutExpired:
         pytest.fail(f"over {SECONDS} s")
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    assert done.returncode == returncode, done.stderr
+    return done
+
+
+def run_cli_within_budget(*argv, returncode=0):
+    """Run ``krom *argv`` in a capped child; return the finished process."""
+    code = f"import sys\nfrom krom.cli import main\nsys.exit(main({list(argv)!r}))\n"
+    return run_within_budget(code, returncode)
 
 
 def test_star_of_the_empty_program_over_50k_atoms():
@@ -49,7 +58,7 @@ def test_star_of_the_empty_program_over_50k_atoms():
 alphabet = Alphabet(names[:50000])
 print(star(Program(), alphabet) == unit(alphabet))
 """
-    assert run_within_budget(code) == "True\n"
+    assert run_within_budget(code).stdout == "True\n"
 
 
 def test_uniform_equiv_of_50k_disjoint_pairs():
@@ -57,7 +66,7 @@ def test_uniform_equiv_of_50k_disjoint_pairs():
 pairs = Program(Rule(h, b) for b, h in zip(names[::2], names[1::2]))
 print(len(pairs), uniform_equiv(pairs, pairs))
 """
-    assert run_within_budget(code) == "50000 EquivVerdict(equal=True, witness=None)\n"
+    assert run_within_budget(code).stdout == "50000 EquivVerdict(equal=True, witness=None)\n"
 
 
 def test_uniform_equiv_of_a_50k_atom_sink_fan_in():
@@ -65,4 +74,29 @@ def test_uniform_equiv_of_a_50k_atom_sink_fan_in():
 sink = Program(Rule(names[0], b) for b in names[1:50000])
 print(len(sink), uniform_equiv(sink, sink))
 """
-    assert run_within_budget(code) == "49999 EquivVerdict(equal=True, witness=None)\n"
+    assert run_within_budget(code).stdout == "49999 EquivVerdict(equal=True, witness=None)\n"
+
+
+def test_gen_of_one_rule_over_100k_atoms():
+    done = run_cli_within_budget("gen", "--atoms", "100000", "--rules", "1")
+    assert done.stdout.count("\n") == 1 and done.stdout.endswith(".\n")
+
+
+def test_parse_and_render_of_100k_rules():
+    code = """
+p = Program([Rule(names[0]), *(Rule(h, b) for b, h in zip(names, names[1:]))])
+print(len(p), parse(render(p)) == p)
+"""
+    assert run_within_budget(code).stdout == "100000 True\n"
+
+
+def test_oracle_refuses_30k_atoms(tmp_path):
+    wide = tmp_path / "wide.lp"
+    wide.write_text("".join(f"b{i} :- a{i}.\n" for i in range(15000)))
+    other = tmp_path / "other.lp"
+    other.write_text("c.\n")
+    done = run_cli_within_budget(
+        "equiv", "--mode", "uniform", "--oracle", str(wide), str(other), returncode=2
+    )
+    assert done.stdout == ""
+    assert done.stderr == "error: 30001 atoms exceed the enumeration bound of 20\n"

@@ -139,9 +139,16 @@ def naive_uniform(k, l):
 
 
 def test_rows_only_where_they_are_dense():
+    """Rows where n * n bits are at most 64 per atom plus 64 per atom on
+    each atom's longest path: over 1,000 atoms, a chain through the first
+    166 of them or more."""
     assert _reach_rows(*_graph(CHAIN), INDEX_1000) is not None
     assert _reach_rows(*_graph(HUB), INDEX_1000) is None
     assert _reach_rows(*_graph(Program()), INDEX_1000) is None
+    for length, dense in [(160, False), (170, True)]:
+        names = NAMES_1000[:length]
+        short = Program(Rule(h, b) for b, h in zip(names, names[1:]))
+        assert (_reach_rows(*_graph(short), INDEX_1000) is not None) == dense
 
 
 def test_wide_sparse_inputs():
