@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from functools import partial, reduce
-from itertools import chain, compress, takewhile
+from itertools import chain, compress, repeat, takewhile
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -265,13 +265,11 @@ class Alphabet(AtomSet):
 
 
 def atoms(program: Program) -> Alphabet:
-    """Every atom occurring in the program, as head, body, or fact."""
-    out = set()
-    for r in program.rules:
-        out.add(r.head)
-        if r.body is not None:
-            out.add(r.body)
-    return Alphabet._wrap(frozenset(out))
+    """Every atom occurring in the program, as head, body, or fact.
+
+    The union of every rule's fields, less the ``None`` body of a fact.
+    """
+    return Alphabet._wrap(frozenset(chain.from_iterable(program.rules)) - {None})
 
 
 def facts(program: Program) -> Interpretation:
@@ -342,18 +340,17 @@ def _require_covers(program_atoms: set | frozenset, alphabet: Alphabet) -> None:
 def power(program: Program, n: int, alphabet: Alphabet) -> Program:
     """The n-fold composition of the program with itself.
 
-    ``power(P, 0, A)`` is the identity program over ``A``; higher powers are
-    the left-associated iteration ``(..(P . P) .. P)``.
+    By definition ``P^0`` is the identity program ``1_A`` over the alphabet
+    and ``P^(n+1) = P^n . P``, so the result is the left fold
+    ``(..((1_A . P) . P) .. P)`` of n compositions: its time is linear in n.
+    The exponent must be a non-negative ``int`` (``bool`` included).
     """
+    if not isinstance(n, int):
+        raise TypeError(f"exponent must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"exponent must be non-negative, got {n}")
     _require_covers(atoms(program).atoms, alphabet)
-    if n == 0:
-        return unit(alphabet)
-    result = program
-    for _ in range(n - 1):
-        result = compose(result, program)
-    return result
+    return reduce(compose, repeat(program, n), unit(alphabet))
 
 
 def star(program: Program, alphabet: Alphabet) -> Program:
@@ -567,20 +564,16 @@ def omega(program: Program) -> Interpretation:
     return Interpretation._wrap(frozenset(_closure(edges, fact_atoms)))
 
 
-def models(interp: Interpretation, program: Program) -> bool:
+def models(interp: AtomSet, program: Program) -> bool:
     """True iff the interpretation satisfies every rule of the program.
 
-    A fact ``a`` requires ``a`` in the interpretation; a proper rule
-    ``a :- b`` requires ``a`` whenever ``b`` is in it.
+    Composing with an interpretation ``I`` (as facts) is the
+    immediate-consequence step, so ``I`` is a model of ``P`` iff the heads
+    of ``P . I`` lie in ``I``: every fact of ``P``, and the head of every
+    rule of ``P`` whose body is in ``I``. Any atom set serves as ``I``, an
+    :class:`Alphabet` included.
     """
-    s = interp.atoms
-    for r in program.rules:
-        if r.body is None:
-            if r.head not in s:
-                return False
-        elif r.body in s and r.head not in s:
-            return False
-    return True
+    return heads(compose(program, Program._wrap(frozenset(map(Rule, interp.atoms))))) <= interp
 
 
 def reach(program: Program, interp: Interpretation) -> Interpretation:

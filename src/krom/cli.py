@@ -74,16 +74,16 @@ def _alphabet_for(program: Program, flag_value: str | None) -> Alphabet:
 
 
 def _equiv(args, k: Program, l: Program) -> str:
-    if args.oracle and args.mode != "uniform":
+    # One decider per (mode, --oracle) pair, looked up when the call runs.
+    decide = {
+        ("lm", False): lm_equiv,
+        ("ss", False): ss_equiv,
+        ("uniform", False): uniform_equiv,
+        ("uniform", True): uniform_equiv_oracle,
+    }.get((args.mode, args.oracle))
+    if decide is None:
         raise _CliError("error: --oracle is only available with --mode uniform")
-    if args.mode == "lm":
-        verdict = lm_equiv(k, l)
-    elif args.mode == "ss":
-        verdict = ss_equiv(k, l)
-    elif args.oracle:
-        verdict = uniform_equiv_oracle(k, l)
-    else:
-        verdict = uniform_equiv(k, l)
+    verdict = decide(k, l)
     if verdict.equal:
         return "equivalent\n"
     if verdict.witness is None:

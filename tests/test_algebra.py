@@ -309,6 +309,36 @@ class TestPower:
         with pytest.raises(ValueError):
             power(prog("a"), -1, Alphabet(["a"]))
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (0.0, "exponent must be an int, got 0.0"),
+            (1.0, "exponent must be an int, got 1.0"),
+            ("3", "exponent must be an int, got '3'"),
+            (None, "exponent must be an int, got None"),
+        ],
+    )
+    def test_rejects_non_int_exponent(self, n, message):
+        with pytest.raises(TypeError) as exc:
+            power(prog("a<-b"), n, Alphabet(["a", "b"]))
+        assert str(exc.value) == message
+
+    def test_bool_exponent_is_an_int(self):
+        a = Alphabet(["a", "b"])
+        assert power(prog("a<-b"), False, a) == unit(a)
+        assert power(prog("a<-b"), True, a) == prog("a<-b")
+
+    def test_exponent_law(self):
+        # P^(m+n) = P^m . P^n, with the unit P^0 on either side.
+        rng = random.Random(1401)
+        universe = [(h, b) for h in ATOMS5 for b in [None, *ATOMS5]]
+        for _ in range(40):
+            p = Program(Rule(*r) for r in rng.sample(universe, rng.randint(0, 8)))
+            powers = [power(p, n, FULL5) for n in range(11)]
+            for m in range(6):
+                for n in range(6):
+                    assert powers[m + n] == compose(powers[m], powers[n]), (p, m, n)
+
     def test_rejects_uncovered_atoms(self):
         with pytest.raises(ValueError, match=r"^program atoms not in the alphabet: b$"):
             power(prog("a<-b"), 2, Alphabet(["a"]))
@@ -433,6 +463,21 @@ class TestModels:
         assert not models(interp("b"), prog("a<-b"))
         assert models(interp("a", "b"), prog("a<-b"))
         assert models(interp(), prog("a<-b"))
+
+    def test_models_are_the_fixpoints_of_extend_omega(self):
+        # I models P iff adding I to P as facts derives nothing outside I;
+        # an Alphabet gets the answer of the equal Interpretation.
+        universe = Alphabet("abc")
+        interps = [
+            Interpretation(combo)
+            for size in range(4)
+            for combo in itertools.combinations(universe, size)
+        ]
+        for p in enumerate_programs(universe, 3):
+            for i in interps:
+                expected = extend_omega(p, i) == i
+                assert models(i, p) == expected, (p, i)
+                assert models(Alphabet(i), p) == expected, (p, i)
 
 
 # ----------------------------------------------------------- reach

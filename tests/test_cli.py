@@ -272,6 +272,30 @@ class TestUsageAndErrors:
             assert (code, out) == (3, "")
             assert err == "internal error: stabilization bound exceeded\n"
 
+    def test_equiv_resolves_its_decider_when_it_runs(self, run, write, monkeypatch):
+        # Each mode calls the decider bound on the module at call time, so a
+        # test or a tracer that rebinds it sees the call.
+        import krom.cli as cli_mod
+        from krom import InternalError
+
+        def boom_for(name):
+            def boom(*_):
+                raise InternalError(f"{name} was called")
+
+            return boom
+
+        k, l = write("a :- b.\n"), write("a :- b.\n")
+        for name, flags in [
+            ("lm_equiv", ("--mode", "lm")),
+            ("ss_equiv", ("--mode", "ss")),
+            ("uniform_equiv", ("--mode", "uniform")),
+            ("uniform_equiv_oracle", ("--mode", "uniform", "--oracle")),
+        ]:
+            with monkeypatch.context() as m:
+                m.setattr(cli_mod, name, boom_for(name))
+                code, out, err = run("equiv", *flags, k, l)
+            assert (code, out, err) == (3, "", f"internal error: {name} was called\n"), name
+
 
 class TestOutputContracts:
     PROGRAM = "a.\nb :- a.\nc :- d.\n"
