@@ -570,10 +570,12 @@ def models(interp: AtomSet, program: Program) -> bool:
     Composing with an interpretation ``I`` (as facts) is the
     immediate-consequence step, so ``I`` is a model of ``P`` iff the heads
     of ``P . I`` lie in ``I``: every fact of ``P``, and the head of every
-    rule of ``P`` whose body is in ``I``. Any atom set serves as ``I``, an
+    rule of ``P`` whose body is in ``I``. This checks that rule by rule,
+    without building ``P . I``. Any atom set serves as ``I``, an
     :class:`Alphabet` included.
     """
-    return heads(compose(program, Program._wrap(frozenset(map(Rule, interp.atoms))))) <= interp
+    held = interp.atoms
+    return all(r.head in held for r in program.rules if r.body is None or r.body in held)
 
 
 def reach(program: Program, interp: Interpretation) -> Interpretation:

@@ -91,7 +91,18 @@ def _first_difference(
 
 
 def lm_equiv(k: Program, l: Program) -> EquivVerdict:
-    """Decide whether two programs have the same least model."""
+    """Decide whether two programs have the same least model.
+
+    ``omega`` is monotone: if K's rules are a subset of L's, then
+    ``omega(K) <= omega(L)``, and as ``omega(L)`` is the least model of L,
+    the two are equal exactly when ``omega(K)`` is a model of ``L - K``
+    (it always models K). So a pair where one rule set contains the other
+    takes one least model and one :func:`models` check; every other pair
+    computes both least models and compares them.
+    """
+    small, large = (k, l) if len(k) <= len(l) else (l, k)
+    if small.rules <= large.rules:
+        return EquivVerdict(models(omega(small), large - small))
     return EquivVerdict(omega(k) == omega(l))
 
 

@@ -465,8 +465,9 @@ class TestModels:
         assert models(interp(), prog("a<-b"))
 
     def test_models_are_the_fixpoints_of_extend_omega(self):
-        # I models P iff adding I to P as facts derives nothing outside I;
-        # an Alphabet gets the answer of the equal Interpretation.
+        # I models P iff adding I to P as facts derives nothing outside I,
+        # iff the heads of P . I lie in I; an Alphabet gets the answer of
+        # the equal Interpretation.
         universe = Alphabet("abc")
         interps = [
             Interpretation(combo)
@@ -477,6 +478,7 @@ class TestModels:
             for i in interps:
                 expected = extend_omega(p, i) == i
                 assert models(i, p) == expected, (p, i)
+                assert models(i, p) == (heads(compose(p, i.as_program())) <= i), (p, i)
                 assert models(Alphabet(i), p) == expected, (p, i)
 
 

@@ -100,3 +100,18 @@ def test_oracle_refuses_30k_atoms(tmp_path):
     )
     assert done.stdout == ""
     assert done.stderr == "error: 30001 atoms exceed the enumeration bound of 20\n"
+
+
+@pytest.mark.parametrize(
+    ("extra", "returncode"), [("zz :- zy.\n", 0), ("zz.\n", 1)], ids=["fresh-rule", "fresh-fact"]
+)
+def test_lm_equiv_of_100k_rules_and_one_more(tmp_path, extra, returncode):
+    chain = "x000000.\n" + "".join(f"x{i + 1:06d} :- x{i:06d}.\n" for i in range(99999))
+    base, more = tmp_path / "base.lp", tmp_path / "more.lp"
+    base.write_text(chain)
+    more.write_text(chain + extra)
+    expected = "equivalent\n" if returncode == 0 else "not equivalent\n"
+    for pair in ((base, more), (more, base)):
+        argv = ("equiv", "--mode", "lm", *map(str, pair))
+        done = run_cli_within_budget(*argv, returncode=returncode)
+        assert (done.stdout, done.stderr) == (expected, "")

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -25,7 +26,8 @@ from krom import (
     uniform_equiv,
     uniform_equiv_oracle,
 )
-from oracles import minimize_oracle
+from krom import equivalence
+from oracles import consequences_oracle, minimize_oracle
 
 
 def prog(*pieces):
@@ -69,6 +71,36 @@ def random_pair(rng, max_atoms):
     return k, draw()
 
 
+def lm_pairs(rng):
+    """Pairs of every shape `lm_equiv` treats apart, each with its kind:
+    nested (added two-step shortcuts, an added fact, an added fresh
+    ``zz :- zy``, an added fresh fact ``zz``), identical, overlapping but
+    not nested, and with disjoint rule sets."""
+    n = rng.randint(1, 6)
+
+    def draw():
+        return random_program(
+            GenConfig(n, rng.randint(0, n + n * n), rng.random(), rng.getrandbits(64))
+        )
+
+    k = draw()
+    # K . K adds the two-step shortcuts of K and the facts they derive.
+    extra = prog(f"x{rng.randint(1, n)}")
+    for l in (k | compose(k, k), k | extra, k | prog("zz<-zy"), k | prog("zz")):
+        yield "nested", k, l
+    yield "identical", k, Program(k.rules)
+    other = draw()
+    dropped = k - other
+    if dropped and other - k:
+        l = k - Program([next(iter(dropped))]) | other
+        if k.rules & l.rules:
+            yield "overlapping", k, l
+    yield "disjoint", k, other - k
+    yield "disjoint", k, Program(
+        rule("y" + r.head, "y" + r.body) if r.body else fact("y" + r.head) for r in other
+    )
+
+
 class TestVerdict:
     def test_truthiness(self):
         assert EquivVerdict(True)
@@ -105,6 +137,35 @@ class TestLmEquiv:
         for k in ps:
             for l in ps:
                 assert lm_equiv(k, l).equal == (lm_oracle(k) == lm_oracle(l))
+
+    def test_agrees_with_consequences_oracle_on_nested_and_other_pairs(self):
+        # Nested pairs take one least model and a models check; the rest
+        # compare both least models. Each pair is checked in both orders.
+        rng = random.Random(20231015)
+        seen = collections.Counter()
+        for _ in range(800):
+            for kind, k, l in lm_pairs(rng):
+                expected = consequences_oracle(k) == consequences_oracle(l)
+                seen[kind, expected] += 1
+                assert lm_equiv(k, l) == EquivVerdict(expected), (kind, k, l)
+                assert lm_equiv(l, k) == EquivVerdict(expected), (kind, l, k)
+        assert len(seen) == 7 and min(seen.values()) >= 50, seen
+
+    def test_nested_pair_computes_one_least_model(self, monkeypatch):
+        calls = []
+
+        def spy(program):
+            calls.append(program)
+            return omega(program)
+
+        monkeypatch.setattr(equivalence, "omega", spy)
+        k, l = prog("a", "b<-a"), prog("a", "b<-a", "c<-b", "d")
+        assert not lm_equiv(k, l) and not lm_equiv(l, k)
+        assert calls == [k, k]
+        calls.clear()
+        k, l = prog("a", "b<-a"), prog("a", "c<-a")
+        assert not lm_equiv(k, l)
+        assert calls == [k, l]
 
 
 class TestSsEquiv:
