@@ -106,6 +106,12 @@ class Rule(NamedTuple):
         return f"{self.head} :- {self.body}"
 
 
+# A Rule from a (head, body) pair, for the programs the algebra builds from
+# pairs. The generated Rule.__new__ does nothing more than tuple.__new__, so
+# this skips only its Python frame. A fact's pair is (head, None).
+_rule = partial(tuple.__new__, Rule)
+
+
 def fact(name: str) -> Rule:
     """Build a fact rule from an atom name."""
     return Rule(Atom(name))
@@ -249,7 +255,7 @@ class Interpretation(AtomSet):
     """A set of atoms, identified with the facts-only program over it."""
 
     def as_program(self) -> Program:
-        return Program._wrap(frozenset(Rule(a) for a in self._items))
+        return Program._wrap(frozenset(map(_rule, zip(self._items, repeat(None)))))
 
     @classmethod
     def from_program(cls, program: Program) -> "Interpretation":
@@ -304,20 +310,26 @@ def compose(k: Program, l: Program) -> Program:
     are one join of ``k``'s bodies with ``l``'s heads: each ``a :- b`` of
     ``k`` meets every rule of ``l`` with head ``b``, and gives ``a :- c``
     where that rule is ``b :- c``, or the fact ``a`` where it is the fact
-    ``b``.
+    ``b``. The first set joins the same way: the empty body of a fact of
+    ``k`` meets the one entry ``None`` that ``l``'s index holds for it, so
+    the fact gives itself. Many join results can be one output rule; each
+    distinct ``(head, body)`` pair becomes one :class:`Rule`, made when the
+    join first reaches it.
     """
-    # l's rule bodies keyed by their head; a fact's body is None, and
-    # Rule(a, None) is the fact a.
-    l_bodies: dict[Atom, list[Atom | None]] = {}
-    for r in l.rules:
-        l_bodies.setdefault(r.head, []).append(r.body)
+    # l's rule bodies keyed by their head; a fact's body is None, and the
+    # pair (a, None) is the fact a. The key None, which no head takes, maps
+    # to that one body, so each fact of k joins to itself.
+    l_bodies: dict[Atom | None, list[Atom | None]] = {None: [None]}
+    for head, body in l.rules:
+        l_bodies.setdefault(head, []).append(body)
+    # A Rule hashes and compares as its tuple, so a pair already in `out`
+    # is found without making a Rule for it.
     out = set()
-    for r in k.rules:
-        if r.body is None:
-            out.add(r)
-        else:
-            for c in l_bodies.get(r.body, ()):
-                out.add(Rule(r.head, c))
+    for head, body in k.rules:
+        for c in l_bodies.get(body, ()):
+            pair = (head, c)
+            if pair not in out:
+                out.add(_rule(pair))
     return Program._wrap(frozenset(out))
 
 
@@ -327,7 +339,8 @@ def unit(alphabet: Alphabet) -> Program:
     It is the two-sided identity of :func:`compose` for every program whose
     atoms lie inside the alphabet.
     """
-    return Program._wrap(frozenset(Rule(a, a) for a in alphabet.atoms))
+    # A set iterates in one order, so zip pairs each atom with itself.
+    return Program._wrap(frozenset(map(_rule, zip(alphabet.atoms, alphabet.atoms))))
 
 
 def _require_covers(program_atoms: set | frozenset, alphabet: Alphabet) -> None:
@@ -384,10 +397,12 @@ def _paths(program: Program, alphabet: Alphabet, strict: bool) -> Program:
     # every h reachable from b by a path of at least one edge if strict,
     # of any length otherwise.
     universe, members, [(base, reaches)] = _reaches([program], alphabet, strict)
-    return Program._wrap(frozenset(chain(
-        map(Rule, members(base)),
-        (Rule(h, b) for b, reach in zip(universe, reaches) for h in members(reach)),
-    )))
+    return Program._wrap(frozenset(map(_rule, chain(
+        zip(members(base), repeat(None)),
+        chain.from_iterable(
+            zip(members(reach), repeat(b)) for b, reach in zip(universe, reaches)
+        ),
+    ))))
 
 
 def _reaches(

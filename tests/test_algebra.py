@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from krom import (
     Alphabet,
     Atom,
+    GenConfig,
     Interpretation,
     Program,
     Rule,
@@ -23,6 +24,7 @@ from krom import (
     plus,
     power,
     proper,
+    random_program,
     reach,
     rule,
     star,
@@ -259,6 +261,42 @@ class TestCompose:
     @given(programs_st, programs_st)
     def test_matches_pairwise_enumeration_oracle(self, k, l):
         assert compose(k, l) == compose_oracle(k, l)
+
+    def test_matches_oracle_where_many_joins_meet(self):
+        # Pairs where many join paths reach one output rule: complete
+        # digraphs, dense draws, facts on both sides, self-loops and the
+        # unit on either side.
+        rng = random.Random(1604)
+        for n in range(3, 7):
+            names = [Atom(f"v{i}") for i in range(n)]
+            alphabet = Alphabet(names)
+            complete = Program(Rule(h, b) for h in names for b in names)
+            facts_k = Program(Rule(a) for a in names[::2])
+            facts_l = Program(Rule(a) for a in names[1:])
+            loops = Program(Rule(a, a) for a in names)
+            dense = [
+                random_program(GenConfig(n, rng.randint(n * n // 2, n + n * n),
+                                         rng.random(), rng.randrange(2**32)))
+                for _ in range(6)
+            ]
+            # random_program names its atoms x1..xn.
+            dense_alphabet = Alphabet(f"x{i}" for i in range(1, n + 1))
+            pairs = [
+                (complete, complete),
+                (complete | facts_k, complete | facts_l),
+                (complete | facts_l, loops | facts_k),
+                (loops, complete | facts_k),
+                (unit(alphabet), complete | facts_l),
+                (complete | facts_k, unit(alphabet)),
+            ]
+            pairs += [(k, l) for k in dense for l in dense]
+            pairs += [(unit(dense_alphabet), d) for d in dense]
+            pairs += [(d, unit(dense_alphabet)) for d in dense]
+            for k, l in pairs:
+                got = compose(k, l)
+                assert got == compose_oracle(k, l), (k, l)
+                assert all(type(r) is Rule for r in got.rules)
+            assert compose(complete, complete) == complete
 
 
 # ----------------------------------------------------------- unit

@@ -7,8 +7,10 @@ most 15 s. Reach rows over the kernel's inputs would be mostly empty:
 ``star`` of the empty program would build 50,000 rows of up to 50,000
 bits, and both ``uniform_equiv`` cases run out of memory under the cap.
 One search per atom answers each in linear time and memory, so these
-cases pin the choice between the two. The rest are linear in their input
-or refuse it before they enumerate anything.
+cases pin the choice between the two. ``compose`` of a dense program with
+itself is linear in its join results, and its peak memory pins that each
+distinct output rule is made once, as the join reaches it. The rest are
+linear in their input or refuse it before they enumerate anything.
 """
 
 import os
@@ -75,6 +77,20 @@ sink = Program(Rule(names[0], b) for b in names[1:50000])
 print(len(sink), uniform_equiv(sink, sink))
 """
     assert run_within_budget(code).stdout == "49999 EquivVerdict(equal=True, witness=None)\n"
+
+
+def test_compose_of_100k_dense_rules_with_itself():
+    # 9,906,316 join results meet in 1,000,935 output rules. A Rule is made
+    # for each distinct one as the join runs: the child peaks at about
+    # 168 MiB, where collecting plain pairs first and making the Rules
+    # afterwards peaks at about 251 MiB.
+    code = """
+p = random_program(GenConfig(1000, 100000, 0.01, 5))
+q = compose(p, p)
+print(len(p), len(q), len(facts(q)))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024 < 200)
+"""
+    assert run_within_budget(code).stdout == "100000 1000935 1000\nTrue\n"
 
 
 def test_gen_of_one_rule_over_100k_atoms():
