@@ -12,12 +12,11 @@ A program is also the edge set of a digraph (a proper rule ``a :- b`` is an
 edge from b to a), and most questions about it are reachability questions.
 ``omega``, ``reach`` and ``extend_omega`` ask what one set of seeds reaches,
 and run one search from it. ``star``, ``plus`` and
-``equivalence.uniform_equiv`` ask what every atom reaches; they read it off
-one condensation pass that gives each atom a bitset of the atoms it reaches,
-or run one search per atom where those bitsets would be mostly empty. The
-kernel numbers its universe itself: the alphabet for ``star`` and ``plus``,
-and for ``uniform_equiv`` both programs' atoms, read off the digraphs it
-builds.
+``equivalence.uniform_equiv`` ask which of a set of target atoms every atom
+reaches: the alphabet for ``star`` and ``plus``, and for ``uniform_equiv``
+the heads of the rules that one program has and the other lacks. They read
+it off reach rows, one bitset per atom over a block of targets at a time,
+each block built by one condensation pass over the atoms that reach it.
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
 
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import re
 from functools import partial, reduce
-from itertools import chain, compress, repeat, takewhile
+from itertools import chain, compress, repeat
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -374,9 +373,8 @@ def star(program: Program, alphabet: Alphabet) -> Program:
     reachable from ``b`` along proper-rule edges, ``b`` itself included.
     The proper rules of the n-th power are the paths of length n (length 0
     being the identity program), and the union of the facts of the
-    positive powers is the least model. Both are read off the reach rows
-    of one condensation pass over the alphabet, or found by one search per
-    atom where those rows would be mostly empty (see ``_reach_rows``).
+    positive powers is the least model. The rules are read off reach rows
+    over the alphabet, one block of it at a time (see ``_reaches``).
     """
     return _paths(program, alphabet, strict=False)
 
@@ -386,8 +384,9 @@ def plus(program: Program, alphabet: Alphabet) -> Program:
 
     Closed form: the fact ``h`` for every ``h`` in ``omega(P)``, and the
     proper rule ``h :- b`` for every ``h`` reachable by a path of length at
-    least one from ``b``, that is from a successor of ``b``. Computed the
-    same way as :func:`star`, without building the star.
+    least one from ``b``, that is from a successor of ``b``. Computed over
+    the same blocks of the alphabet as :func:`star`, without building the
+    star: the row of ``b`` is the OR of its successors' rows.
     """
     return _paths(program, alphabet, strict=True)
 
@@ -396,63 +395,100 @@ def _paths(program: Program, alphabet: Alphabet, strict: bool) -> Program:
     # The least model as facts, and h :- b for every b in the alphabet and
     # every h reachable from b by a path of at least one edge if strict,
     # of any length otherwise.
-    universe, members, [(base, reaches)] = _reaches([program], alphabet, strict)
+    _require_covers(atoms(program).atoms, alphabet)
+    fact_atoms, edges = _graph(program)
     return Program._wrap(frozenset(map(_rule, chain(
-        zip(members(base), repeat(None)),
+        zip(_closure(edges, fact_atoms), repeat(None)),
         chain.from_iterable(
-            zip(members(reach), repeat(b)) for b, reach in zip(universe, reaches)
+            zip(_members(row, block), repeat(b))
+            for block, rows in _reaches(edges, alphabet.atoms, strict)
+            for b, row in rows.items()
         ),
     ))))
 
 
+# Targets per block of reach rows: a row holds at most this many bits.
+_WIDTH = 1 << 13
+
+
 def _reaches(
-    programs: list[Program], alphabet: Alphabet | None = None, strict: bool = False
-) -> tuple:
-    # What every atom of the universe reaches in each program: by a path of
-    # at least one edge if strict, of any length otherwise. The universe is
-    # the alphabet, which must cover the programs' atoms, or else the
-    # programs' atoms, read off their graphs. It is sorted and numbered here
-    # and nowhere else: atom i of the sorted universe is bit i of a row.
-    # Returns the sorted universe, a function that lists the atoms of a
-    # reach, and per program its least model and its reaches in universe
-    # order. Either every program gets reach rows (bitsets) or every one
-    # gets one search per atom (sets), so `|` and `!=` compare least models
-    # and reaches across programs on either path.
+    edges: dict[Atom, list[Atom]], targets: Iterable[Atom], strict: bool
+) -> Iterator[tuple[list[Atom], dict[Atom, int]]]:
+    # Which targets each atom reaches along `edges` (the digraph of
+    # `_graph`): by a path of at least one edge if strict, of any length
+    # otherwise. The sorted targets are cut into blocks of `_WIDTH`, and
+    # per block this yields the block and its rows from `_rows`. Every
+    # call with the same targets cuts the same blocks.
+    parents: dict[Atom, list[Atom]] = {}
+    for b, hs in edges.items():
+        for h in hs:
+            parents.setdefault(h, []).append(b)
+    targets = sorted(targets)
+    for start in range(0, len(targets), _WIDTH):
+        block = targets[start:start + _WIDTH]
+        yield block, _rows(edges, parents, block, strict)
+
+
+def _rows(
+    edges: dict[Atom, list[Atom]],
+    parents: dict[Atom, list[Atom]],
+    block: list[Atom],
+    strict: bool,
+) -> dict[Atom, int]:
+    # The reach rows over one block of targets, {atom: row}, of the atoms
+    # whose row is not empty: bit i of a row stands for block[i]. `parents`
+    # is `edges` reversed.
     #
-    # Rows are built up front; a search runs only when its reach is read.
-    # So programs whose least models differ get the searches, and a caller
-    # that compares the least models first pays for no reach at all.
-    graphs = [_graph(p) for p in programs]
-    program_atoms = set()
-    for fact_atoms, edges in graphs:
-        program_atoms.update(fact_atoms, edges, *edges.values())
-    if alphabet is None:
-        universe = sorted(program_atoms)
-    else:
-        _require_covers(program_atoms, alphabet)
-        universe = sorted(alphabet.atoms)
-    index = {a: i for i, a in enumerate(universe)}
-    bases = [_closure(edges, fact_atoms) for fact_atoms, edges in graphs]
-    # A kernel is a non-empty tuple, so this stops at the first None.
-    kernels = list(takewhile(bool, (
-        _reach_rows(*graph, index)
-        for graph in graphs if all(base == bases[0] for base in bases)
-    )))
-    if len(kernels) < len(graphs):
-        return universe, iter, [
-            (base, map(partial(_search, edges, strict), universe))
-            for base, (_, edges) in zip(bases, graphs)
-        ]
-    return universe, partial(_members, universe=universe), [
-        (base, [reduce(or_, map(rows.__getitem__, heads), 0) for heads in succ])
-        if strict else (base, rows)
-        for base, succ, rows in kernels
-    ]
-
-
-def _search(edges: dict[Atom, list[Atom]], strict: bool, b: Atom) -> set:
-    # What b reaches by one search: from its successors if strict.
-    return _closure(edges, edges.get(b, ()) if strict else (b,))
+    # The atoms that reach the block are the ones one search up `parents`
+    # finds from it, `up`; an edge out of `up` leads to no target. One
+    # iterative Tarjan pass (Tarjan, SIAM J. Comput. 1972) condenses the
+    # digraph on just those atoms. It completes components successors
+    # first, so a component's row is the bits of its own targets ORed with
+    # the rows of the components below it (Purdom, BIT 1970; Nuutila 1995):
+    # the successors already in `row`. That costs O(n + m) steps over the
+    # atoms and rules that reach the block, each an OR of rows of at most
+    # `_WIDTH` bits.
+    bit = {a: 1 << i for i, a in enumerate(block)}
+    up = _closure(parents, block)
+    num: dict[Atom, int] = {}  # DFS number, in order of visit
+    low: dict[Atom, int] = {}
+    row: dict[Atom, int] = {}  # the row of an atom's component, once it completes
+    stack: list[Atom] = []
+    for root in up:
+        if root in num:
+            continue
+        num[root] = low[root] = len(num)
+        stack.append(root)
+        work = [(root, filter(up.__contains__, edges.get(root, ())))]
+        while work:
+            v, todo = work[-1]
+            for w in todo:
+                if w not in num:
+                    num[w] = low[w] = len(num)
+                    stack.append(w)
+                    work.append((w, filter(up.__contains__, edges.get(w, ()))))
+                    break
+                if w not in row and num[w] < low[v]:
+                    low[v] = num[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == num[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    r = reduce(
+                        or_,
+                        [row[x] for w in members for x in edges.get(w, ()) if x in row],
+                        sum(map(bit.get, members, repeat(0))),
+                    )
+                    row.update(zip(members, repeat(r)))
+    if strict:
+        return {
+            v: r for v in up if (r := reduce(or_, map(row.get, edges.get(v, ()), repeat(0)), 0))
+        }
+    return row
 
 
 def _graph(program: Program) -> tuple[list[Atom], dict[Atom, list[Atom]]]:
@@ -480,92 +516,15 @@ def _closure(edges: dict[Atom, list[Atom]], seeds: Iterable[Atom]) -> set:
     return seen
 
 
-def _reach_rows(
-    fact_atoms: list[Atom], edges: dict[Atom, list[Atom]], index: dict[Atom, int]
-) -> tuple[int, list[list[int]], list[int]] | None:
-    # The digraph of `_graph` on the universe `_reaches` numbers, which must
-    # cover its atoms: `index` maps the i-th atom in sorted order to bit i.
-    # Returns the least model as a bitset, each atom's successors (the
-    # heads of the rules it is the body of) and each atom's reach row: the
-    # bitset of the atoms reachable from it, itself included.
-    #
-    # One iterative Tarjan pass (Tarjan, SIAM J. Comput. 1972) condenses
-    # the digraph. It completes components successors first, so a
-    # component's row is its members ORed with the rows of the components
-    # below it (Purdom, BIT 1970; Nuutila 1995). Time is O(n + m) steps,
-    # each an OR of rows of up to n bits. A row spans every bit up to the
-    # highest atom it reaches, its own bit at least, so the rows, counted
-    # once per atom, hold between n * (n + 1) / 2 and n * n bits. They are
-    # built once per component: n * n / 16 bytes for a chain of n atoms,
-    # and `uniform_equiv` of a 100,000-atom chain with itself needs about
-    # 1.25 GB.
-    #
-    # Rows that reach few atoms waste most of their bits: n atoms that
-    # reach only themselves would take n * n / 16 bytes where one search
-    # per atom visits n atoms in all. So before it builds any row, the pass
-    # weighs the n * n bits against the atoms on the longest path from each
-    # atom, which the search from it must visit. Above 64 bits per atom
-    # plus 64 per such visit (a word per visit), it returns None and
-    # `_reaches` runs the searches instead. Both sides can miss: the width
-    # by under 2x, the longest path by undercounting the reach. So wide
-    # shallow graphs may get searches where rows would be faster; never
-    # the reverse.
-    succ = [[index[h] for h in edges.get(a, ())] for a in index]
-    n = len(index)
-    num = [0] * n  # DFS number from 1; 0 while unvisited
-    low = [0] * n
-    comp = [-1] * n  # component number, in completion order; -1 until then
-    parts = []  # per component: its members and the components below it
-    depth = []  # per component: the most atoms on one path from it
-    stack: list[int] = []
-    count = 0
-    for root in range(n):
-        if num[root]:
-            continue
-        count += 1
-        num[root] = low[root] = count
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, todo = work[-1]
-            for w in todo:
-                if not num[w]:
-                    count += 1
-                    num[w] = low[w] = count
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if comp[w] < 0 and num[w] < low[v]:
-                    low[v] = num[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == num[v]:
-                    members = []
-                    w = -1
-                    while w != v:
-                        w = stack.pop()
-                        members.append(w)
-                        comp[w] = len(parts)
-                    below = {comp[x] for w in members for x in succ[w]} - {len(parts)}
-                    depth.append(len(members) + max(map(depth.__getitem__, below), default=0))
-                    parts.append((members, below))
-    if n * n > 64 * (n + sum(len(m) * d for (m, _), d in zip(parts, depth))):
-        return None
-    rows: list[int] = []
-    for members, below in parts:
-        rows.append(reduce(or_, map(rows.__getitem__, below), sum(1 << w for w in members)))
-    rows = [rows[c] for c in comp]
-    return reduce(or_, (rows[index[a]] for a in fact_atoms), 0), succ, rows
-
-
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _members(bits: int, universe: list) -> Iterator:
-    # The atoms of a bitset over the universe, in sorted order.
-    return compress(universe, bin(bits)[:1:-1].encode().translate(_BITS))
+def _members(bits: int, block: list[Atom]) -> Iterator[Atom]:
+    # The atoms of a non-empty row over a block, in block order. It starts
+    # at the lowest set bit, so it costs the span of the row's bits.
+    low = (bits & -bits).bit_length() - 1
+    flags = bin(bits >> low)[:1:-1].encode().translate(_BITS)
+    return compress(block[low:bits.bit_length()], flags)
 
 
 def omega(program: Program) -> Interpretation:

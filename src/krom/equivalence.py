@@ -22,6 +22,8 @@ from .algebra import (
     InternalError,
     Interpretation,
     Program,
+    _closure,
+    _graph,
     _reaches,
     atoms,
     compose,
@@ -143,23 +145,41 @@ def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
     a set of seed atoms is the union of reachability from each seed, so
     agreement on singletons lifts to agreement on every interpretation.
     Atoms outside both programs extend both sides by exactly themselves.
-    The least models and the singleton extensions come from
-    ``algebra._reaches``, which makes one choice for both programs: reach
-    rows over both programs' atoms, or one search per atom where the paths
-    are too short for rows as wide as that universe (``algebra._reach_rows``
-    weighs the two). The least models are compared first; where they
-    differ, no reach is found at all.
 
-    The witness on a negative verdict is the first failing interpretation,
-    checked in sorted order with the empty one first.
+    The least models B are compared first. Where they are equal, only the
+    atoms of T need a look: the heads of the proper rules that one program
+    has and the other lacks, less B. For every atom x, ``B | reach_K(x)``
+    equals ``B | reach_L(x)`` exactly when the two reaches agree on T.
+    Suppose h is in ``B | reach_L(x)`` but not in ``B | reach_K(x)``, and
+    follow an L-path from x to h. The first of its edges that leaves
+    ``B | reach_K(x)``, a set closed under K's edges, is not a rule of K,
+    so it is a rule of L alone, and its head is in T (a fact of one
+    program alone has its head in B). This is the uniform counterpart of
+    Sagiv's containment test: each rule of one program must be derivable
+    in the other (Sagiv, "Optimizing Datalog programs", 1988). So a pair
+    with T empty is equal, and otherwise ``algebra._reaches`` gives each
+    program's reach rows over T, one block of T at a time.
+
+    The witness on a negative verdict is the first failing interpretation
+    in sorted order, the empty one first: the empty one if the least
+    models differ, and otherwise the least atom whose rows differ in any
+    block.
     """
-    universe, _, [(base, reaches_k), (base_l, reaches_l)] = _reaches([k, l])
-    if base != base_l:
+    (facts_k, edges_k), (facts_l, edges_l) = _graph(k), _graph(l)
+    base = _closure(edges_k, facts_k)
+    if base != _closure(edges_l, facts_l):
         return EquivVerdict(False, Interpretation())
-    for x, reach_k, reach_l in zip(universe, reaches_k, reaches_l):
-        if base | reach_k != base | reach_l:
-            return EquivVerdict(False, Interpretation((x,)))
-    return EquivVerdict(True)
+    targets = {r.head for r in k.rules ^ l.rules if r.body is not None} - base
+    if not targets:
+        return EquivVerdict(True)
+    differ = [
+        min(x for x, _ in rows_k.items() ^ rows_l.items())
+        for (_, rows_k), (_, rows_l) in zip(
+            _reaches(edges_k, targets, False), _reaches(edges_l, targets, False)
+        )
+        if rows_k != rows_l
+    ]
+    return EquivVerdict(False, Interpretation([min(differ)])) if differ else EquivVerdict(True)
 
 
 def uniform_equiv_oracle(

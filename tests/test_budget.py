@@ -3,14 +3,16 @@ the entry points that read, write or enumerate many atoms.
 
 Each case runs in its own child interpreter, one at a time, that caps its
 address space at 256 MiB before it imports ``krom``; the parent waits at
-most 15 s. Reach rows over the kernel's inputs would be mostly empty:
-``star`` of the empty program would build 50,000 rows of up to 50,000
-bits, and both ``uniform_equiv`` cases run out of memory under the cap.
-One search per atom answers each in linear time and memory, so these
-cases pin the choice between the two. ``compose`` of a dense program with
-itself is linear in its join results, and its peak memory pins that each
-distinct output rule is made once, as the join reaches it. The rest are
-linear in their input or refuse it before they enumerate anything.
+most 15 s. The kernel builds reach rows one block of at most 8,192
+targets at a time, over just the atoms that reach the block: the alphabet
+for ``star`` and ``plus``, and for ``uniform_equiv`` the heads of the rules
+that one program has and the other lacks, less the shared least model. A
+program compared with itself has no such heads and needs no rows at all;
+the pairs that differ, from one rule up to every atom, pin the memory of
+the blocks. ``compose`` of a dense program with itself is linear in its
+join results, and its peak memory pins that each distinct output rule is
+made once, as the join reaches it. The rest are linear in their input or
+refuse it before they enumerate anything.
 """
 
 import os
@@ -77,6 +79,52 @@ sink = Program(Rule(names[0], b) for b in names[1:50000])
 print(len(sink), uniform_equiv(sink, sink))
 """
     assert run_within_budget(code).stdout == "49999 EquivVerdict(equal=True, witness=None)\n"
+
+
+PAIRS = "pairs = Program(Rule(h, b) for b, h in zip(names[::2], names[1::2]))\n"
+SINK = "sink = Program(Rule(names[0], b) for b in names[1:50000])\n"
+BOTH_ORDERS = "print(uniform_equiv(k, l))\nprint(uniform_equiv(l, k))\n"
+
+
+def verdicts(witness):
+    line = "EquivVerdict(equal=True, witness=None)\n" if witness is None else (
+        f"EquivVerdict(equal=False, witness=Interpretation(['{witness}']))\n"
+    )
+    return line * 2
+
+
+def test_uniform_equiv_of_50k_disjoint_pairs_less_one_rule():
+    code = PAIRS + "k, l = pairs, pairs - Program([Rule(names[99999], names[99998])])\n"
+    assert run_within_budget(code + BOTH_ORDERS).stdout == verdicts("x099998")
+
+
+def test_uniform_equiv_of_a_50k_atom_sink_plus_one_edge():
+    code = SINK + "k, l = sink, sink | Program([Rule(names[1], names[0])])\n"
+    assert run_within_budget(code + BOTH_ORDERS).stdout == verdicts("x000000")
+
+
+def test_uniform_equiv_of_a_100k_chain_and_far_shortcuts():
+    # The shortcuts all lead into the chain's last atom, so the rows hold
+    # one bit each; rows over the whole universe would take about 1.25 GB.
+    code = """
+k = Program(Rule(h, b) for b, h in zip(names, names[1:]))
+l = k | Program(Rule(names[-1], b) for b in names[:-2])
+"""
+    assert run_within_budget(code + BOTH_ORDERS).stdout == verdicts(None)
+
+
+def test_star_and_plus_of_a_50k_atom_sink():
+    code = SINK + """
+alphabet = Alphabet(names[:50000])
+print(star(sink, alphabet) == sink | unit(alphabet), plus(sink, alphabet) == sink)
+"""
+    assert run_within_budget(code).stdout == "True True\n"
+
+
+def test_uniform_equiv_of_50k_disjoint_pairs_and_their_reverse():
+    # Every atom is the head of a rule only one program has.
+    code = PAIRS + "k, l = pairs, Program(Rule(b, h) for h, b in pairs)\n"
+    assert run_within_budget(code + BOTH_ORDERS).stdout == verdicts("x000000")
 
 
 def test_compose_of_100k_dense_rules_with_itself():

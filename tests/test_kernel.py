@@ -5,8 +5,11 @@ The programs are drawn to give the condensation something to do: atoms
 split into blocks joined by cycles (several strongly connected components),
 edges between and back across blocks, self-loops, facts, and alphabets
 wider than the program, down to the empty program and the empty alphabet.
-The one search per atom that wide, sparse inputs take instead of the rows must
-give the same answers on the same sweep.
+The kernel builds its reach rows one block of targets at a time; blocks
+narrower than the targets must give the same answers on the same sweep.
+``uniform_equiv`` looks only at the heads of the rules one program lacks;
+larger programs than the oracles admit check that against one least-model
+search per atom.
 """
 
 import random
@@ -17,13 +20,17 @@ from krom import (
     Alphabet,
     Atom,
     EquivVerdict,
+    GenConfig,
     Interpretation,
     atoms,
+    compose,
     extend_omega,
+    minimize,
     Program,
     Rule,
     plus,
     proper,
+    random_program,
     rule,
     ss_equiv_semantic,
     star,
@@ -32,7 +39,6 @@ from krom import (
     unit,
 )
 from krom import algebra
-from krom.algebra import _graph, _reach_rows
 from oracles import closure_oracle, plus_oracle, star_oracle
 
 NAMES = [Atom(f"a{i}") for i in range(9)]
@@ -108,24 +114,16 @@ def test_uniform_equivalence_is_equal_stars():
     assert 100 < negative < 500
 
 
-def answers(p, alphabet, q):
-    return star(p, alphabet), plus(p, alphabet), uniform_equiv(p, q), uniform_equiv(q, p)
-
-
-def test_sweep_without_rows(monkeypatch):
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_sweep_in_narrow_blocks(monkeypatch, width):
+    monkeypatch.setattr(algebra, "_WIDTH", width)
     rng = random.Random(1072)
-    cases = []
-    for _ in range(2000):
+    for _ in range(500):
         p, alphabet = shaped_program(rng)
-        q = partner(rng, p, alphabet)
-        cases.append(((p, alphabet, q), answers(p, alphabet, q)))
-    monkeypatch.setattr(algebra, "_reach_rows", lambda *args: None)
-    for case, expected in cases:
-        assert answers(*case) == expected
+        check(p, alphabet, partner(rng, p, alphabet))
 
 
 NAMES_1000 = [Atom(f"x{i:04d}") for i in range(1000)]
-INDEX_1000 = {a: i for i, a in enumerate(NAMES_1000)}
 CHAIN = Program(Rule(h, b) for b, h in zip(NAMES_1000, NAMES_1000[1:]))
 HUB = Program(Rule(NAMES_1000[0], b) for b in NAMES_1000[1:])
 
@@ -136,19 +134,6 @@ def naive_uniform(k, l):
         if extend_omega(k, interp) != extend_omega(l, interp):
             return EquivVerdict(False, interp)
     return EquivVerdict(True)
-
-
-def test_rows_only_where_they_are_dense():
-    """Rows where n * n bits are at most 64 per atom plus 64 per atom on
-    each atom's longest path: over 1,000 atoms, a chain through the first
-    166 of them or more."""
-    assert _reach_rows(*_graph(CHAIN), INDEX_1000) is not None
-    assert _reach_rows(*_graph(HUB), INDEX_1000) is None
-    assert _reach_rows(*_graph(Program()), INDEX_1000) is None
-    for length, dense in [(160, False), (170, True)]:
-        names = NAMES_1000[:length]
-        short = Program(Rule(h, b) for b, h in zip(names, names[1:]))
-        assert (_reach_rows(*_graph(short), INDEX_1000) is not None) == dense
 
 
 def test_wide_sparse_inputs():
@@ -164,12 +149,58 @@ def test_wide_sparse_inputs():
 
 
 def test_different_least_models_need_no_rows(monkeypatch):
-    def no_rows(*args):
-        pytest.fail("the least models differ, so no rows are needed")
+    """No reach rows where the least models differ, nor where every rule
+    that one program lacks has its head in the shared least model."""
+    blocks = []
+    rows = algebra._rows
 
-    monkeypatch.setattr(algebra, "_reach_rows", no_rows)
-    with_fact = CHAIN | Program([Rule(NAMES_1000[500])])
+    def spy(edges, parents, block, strict):
+        blocks.append(block)
+        return rows(edges, parents, block, strict)
+
+    monkeypatch.setattr(algebra, "_rows", spy)
+    first, middle, last = NAMES_1000[0], NAMES_1000[500], NAMES_1000[-1]
+    with_fact = CHAIN | Program([Rule(middle)])
     assert uniform_equiv(CHAIN, with_fact) == EquivVerdict(False, Interpretation())
+    founded = with_fact | Program([Rule(last)])
+    inside = founded | Program([Rule(middle, last), Rule(last, first)])
+    for k, l in [(CHAIN, CHAIN), (founded, inside), (inside, founded)]:
+        assert uniform_equiv(k, l) == EquivVerdict(True)
+    assert not blocks
+    assert uniform_equiv(CHAIN, CHAIN | Program([Rule(last, first)])) == EquivVerdict(True)
+    assert blocks == [[last], [last]]
+
+
+def naive_pairs(rng):
+    """30-150-atom ``random_program`` pairs that differ a lot: half of K
+    plus a draw, ``K | K.K``, ``minimize(K)``, K less one rule, and an
+    unrelated draw."""
+    for _ in range(80):
+        n = rng.randint(30, 150)
+
+        def draw():
+            rules, facts = rng.randint(n // 2, 3 * n), rng.choice([0, 0, 0.01, 0.05])
+            return random_program(GenConfig(n, rules, facts, rng.getrandbits(64)))
+
+        k = draw()
+        half = Program(rng.sample(list(k), len(k) // 2)) | draw()
+        less = Program(k.rules - {rng.choice(list(k))})
+        for l in (half, k | compose(k, k), minimize(k), less, draw()):
+            yield k, l
+
+
+@pytest.mark.parametrize("width", [3, algebra._WIDTH], ids=["narrow", "default"])
+def test_heads_of_unshared_rules_decide_beyond_the_oracles(monkeypatch, width):
+    monkeypatch.setattr(algebra, "_WIDTH", width)
+    rng = random.Random(1741)
+    negative = singleton = 0
+    for k, l in naive_pairs(rng):
+        for a, b in ((k, l), (l, k)):
+            expected = naive_uniform(a, b)
+            assert uniform_equiv(a, b) == expected
+            negative += not expected
+            singleton += bool(expected.witness)
+    assert 300 < negative < 500 and singleton > 150
 
 
 def test_long_chain_needs_no_recursion():

@@ -5,9 +5,8 @@ the same fields, so a program holding one passes every equality test in
 the suite while ``str(r)``, ``render`` and ``r.is_fact`` break on it. These
 tests look at the type of each member of the outputs of the operations
 that build programs, over the hypothesis strategies of ``test_algebra``,
-the seeded shapes of ``test_kernel`` (on both sides of the kernel's choice
-between reach rows and per-atom searches) and seeded ``random_program``
-draws.
+the seeded shapes of ``test_kernel`` (with reach rows in narrow blocks and
+in blocks of the default width) and seeded ``random_program`` draws.
 """
 
 import random
@@ -34,7 +33,7 @@ from krom import (
 )
 from krom import algebra
 from test_algebra import FULL5, programs_st
-from test_kernel import INDEX_1000, NAMES_1000, partner, shaped_program
+from test_kernel import NAMES_1000, partner, shaped_program
 
 
 def assert_rules(program: Program) -> None:
@@ -64,28 +63,18 @@ def test_hypothesis_sweep(k, l, n):
     assert_rules(power(k, n, FULL5))
 
 
-@pytest.mark.parametrize("rows", [True, False], ids=["rows", "searches"])
-def test_seeded_sweep_on_both_sides_of_the_kernel(monkeypatch, rows):
-    taken = []
-    reach_rows = algebra._reach_rows
-
-    def spy(*args):
-        kernel = reach_rows(*args) if rows else None
-        taken.append(kernel is not None)
-        return kernel
-
-    monkeypatch.setattr(algebra, "_reach_rows", spy)
+@pytest.mark.parametrize("width", [3, algebra._WIDTH], ids=["narrow", "default"])
+def test_seeded_sweep_in_blocks_of_reach_rows(monkeypatch, width):
+    monkeypatch.setattr(algebra, "_WIDTH", width)
     rng = random.Random(1072)
     for _ in range(300):
         p, alphabet = shaped_program(rng)
         assert_outputs(p, partner(rng, p, alphabet), alphabet)
-    assert taken and all(t == rows for t in taken)
 
 
-def test_wide_sparse_outputs_take_the_searches():
+def test_wide_sparse_outputs():
     alphabet = Alphabet(NAMES_1000)
     hub = Program(Rule(NAMES_1000[0], b) for b in NAMES_1000[1:])
-    assert algebra._reach_rows(*algebra._graph(hub), INDEX_1000) is None
     for out in (star(hub, alphabet), plus(hub, alphabet), star(Program(), alphabet)):
         assert_rules(out)
 
