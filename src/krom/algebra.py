@@ -15,8 +15,10 @@ and run one search from it. ``star``, ``plus`` and
 ``equivalence.uniform_equiv`` ask which of a set of target atoms every atom
 reaches: the alphabet for ``star`` and ``plus``, and for ``uniform_equiv``
 the heads of the rules that one program has and the other lacks. They read
-it off reach rows, one bitset per atom over a block of targets at a time,
-each block built by one condensation pass over the atoms that reach it.
+it off reach rows, one bitset per atom over a block of targets at a time.
+Each block takes two searches over the atoms that reach it: one up the
+rules finds them, and one down the rules condenses them and builds their
+rows.
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
 
@@ -439,54 +441,56 @@ def _rows(
     # whose row is not empty: bit i of a row stands for block[i]. `parents`
     # is `edges` reversed.
     #
-    # The atoms that reach the block are the ones one search up `parents`
-    # finds from it, `up`; an edge out of `up` leads to no target. One
-    # iterative Tarjan pass (Tarjan, SIAM J. Comput. 1972) condenses the
-    # digraph on just those atoms. It completes components successors
-    # first, so a component's row is the bits of its own targets ORed with
-    # the rows of the components below it (Purdom, BIT 1970; Nuutila 1995):
-    # the successors already in `row`. That costs O(n + m) steps over the
-    # atoms and rules that reach the block, each an OR of rows of at most
-    # `_WIDTH` bits.
+    # Kosaraju's two searches condense the digraph on the atoms that reach
+    # the block (Sharir, Comput. Math. Appl. 1981). The first, a depth-first
+    # search up `parents` from the block, finds exactly those atoms, `seen`,
+    # and lists each in `order` once the search above it is done, so every
+    # component ends in `order` after all the atoms of the components above
+    # it. The second takes `order` backwards: each atom still in `seen`
+    # starts a search down `edges` through the atoms still in `seen`,
+    # taking each out as it goes, and that search finds exactly the atom's
+    # component, with every component below it already done. The
+    # component's row is the bits of its own targets ORed with the rows of
+    # the done atoms it meets (Purdom, BIT 1970); an edge to an atom the
+    # first search did not find leads to no target. Each search costs
+    # O(n + m) steps over the atoms and rules that reach the block, the
+    # second each an OR of rows of at most `_WIDTH` bits.
     bit = {a: 1 << i for i, a in enumerate(block)}
-    up = _closure(parents, block)
-    num: dict[Atom, int] = {}  # DFS number, in order of visit
-    low: dict[Atom, int] = {}
-    row: dict[Atom, int] = {}  # the row of an atom's component, once it completes
-    stack: list[Atom] = []
-    for root in up:
-        if root in num:
+    seen = set()
+    order: list[Atom] = []
+    # The first search starts at `None`, standing for a root whose parents
+    # are the block's atoms, and drops it from `order` once it is done.
+    work = [(None, iter(block))]
+    while work:
+        v, todo = work[-1]
+        for w in todo:
+            if w not in seen:
+                seen.add(w)
+                work.append((w, iter(parents.get(w, ()))))
+                break
+        else:
+            work.pop()
+            order.append(v)
+    order.pop()
+    row: dict[Atom, int] = {}  # the row of an atom's component, once it is done
+    for root in reversed(order):
+        if root not in seen:
             continue
-        num[root] = low[root] = len(num)
-        stack.append(root)
-        work = [(root, filter(up.__contains__, edges.get(root, ())))]
-        while work:
-            v, todo = work[-1]
-            for w in todo:
-                if w not in num:
-                    num[w] = low[w] = len(num)
-                    stack.append(w)
-                    work.append((w, filter(up.__contains__, edges.get(w, ()))))
-                    break
-                if w not in row and num[w] < low[v]:
-                    low[v] = num[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == num[v]:
-                    members = [stack.pop()]
-                    while members[-1] != v:
-                        members.append(stack.pop())
-                    r = reduce(
-                        or_,
-                        [row[x] for w in members for x in edges.get(w, ()) if x in row],
-                        sum(map(bit.get, members, repeat(0))),
-                    )
-                    row.update(zip(members, repeat(r)))
+        seen.remove(root)
+        members = [root]
+        r = 0
+        for v in members:
+            r |= bit.get(v, 0)
+            for w in edges.get(v, ()):
+                if w in seen:
+                    seen.remove(w)
+                    members.append(w)
+                else:
+                    r |= row.get(w, 0)
+        row.update(zip(members, repeat(r)))
     if strict:
         return {
-            v: r for v in up if (r := reduce(or_, map(row.get, edges.get(v, ()), repeat(0)), 0))
+            v: r for v in order if (r := reduce(or_, map(row.get, edges.get(v, ()), repeat(0)), 0))
         }
     return row
 

@@ -9,10 +9,12 @@ The kernel builds its reach rows one block of targets at a time; blocks
 narrower than the targets must give the same answers on the same sweep.
 ``uniform_equiv`` looks only at the heads of the rules one program lacks;
 larger programs than the oracles admit check that against one least-model
-search per atom.
+search per atom, and ``star`` and ``plus`` against one search from every
+atom.
 """
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -39,7 +41,7 @@ from krom import (
     unit,
 )
 from krom import algebra
-from oracles import closure_oracle, plus_oracle, star_oracle
+from oracles import closure_oracle, compose_oracle, consequences_oracle, plus_oracle, star_oracle
 
 NAMES = [Atom(f"a{i}") for i in range(9)]
 
@@ -201,6 +203,20 @@ def test_heads_of_unshared_rules_decide_beyond_the_oracles(monkeypatch, width):
             negative += not expected
             singleton += bool(expected.witness)
     assert 300 < negative < 500 and singleton > 150
+
+
+@pytest.mark.parametrize("width", [3, algebra._WIDTH], ids=["narrow", "default"])
+def test_star_and_plus_beyond_the_oracles(monkeypatch, width):
+    """``star`` and ``plus`` of the first 20 programs K of ``naive_pairs``,
+    over the atoms of K and its first partner, against a search from every
+    atom for the paths and fixpoint iteration for the facts."""
+    monkeypatch.setattr(algebra, "_WIDTH", width)
+    for k, l in islice(naive_pairs(random.Random(1741)), 0, 100, 5):
+        alphabet = atoms(k | l)
+        paths = closure_oracle(proper(k), alphabet)
+        least = consequences_oracle(k).as_program()
+        assert star(k, alphabet) == paths | least
+        assert plus(k, alphabet) == compose_oracle(paths, proper(k)) | least
 
 
 def test_long_chain_needs_no_recursion():
