@@ -8,17 +8,19 @@ of L, and chains K's proper rules through L's proper rules. Iterating
 composition yields the closure operators ``power``, ``star``, and ``plus``;
 ``omega`` computes the least model.
 
-A program is also the edge set of a digraph (a proper rule ``a :- b`` is an
-edge from b to a), and most questions about it are reachability questions.
-``omega``, ``reach`` and ``extend_omega`` ask what one set of seeds reaches,
-and run one search from it. ``star``, ``plus`` and
-``equivalence.uniform_equiv`` ask which of a set of target atoms every atom
-reaches: the alphabet for ``star`` and ``plus``, and for ``uniform_equiv``
-the heads of the rules that one program has and the other lacks. They read
-it off reach rows, one bitset per atom over a block of targets at a time.
-Each block takes two searches over the atoms that reach it: one up the
-rules finds them, and one down the rules condenses them and builds their
-rows.
+A program is also the edge set of a digraph with one vertex per atom and a
+root standing for the empty body: a proper rule ``a :- b`` is an edge from b
+to a, and a fact ``a`` an edge from the root to a. Most questions about a
+program are reachability questions. ``omega``, ``reach`` and
+``extend_omega`` ask what the root and one set of seeds reach, and run one
+search from them. ``star``, ``plus`` and ``equivalence.uniform_equiv`` ask
+which of a set of target atoms every vertex reaches: the alphabet for
+``star`` and ``plus``, whose facts are the root's reach, and for
+``uniform_equiv`` the heads of the rules that one program has and the other
+lacks. They read it off reach rows, one bitset per vertex over a block of
+targets at a time. Each block takes two searches over the vertices that
+reach it: one up the rules finds them, and one down the rules condenses
+them and builds their rows.
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
 
@@ -32,6 +34,7 @@ valid, through the unchecked ``_wrap``.
 from __future__ import annotations
 
 import re
+import sys
 from functools import partial, reduce
 from itertools import chain, compress, repeat
 from operator import or_
@@ -357,12 +360,15 @@ def power(program: Program, n: int, alphabet: Alphabet) -> Program:
     By definition ``P^0`` is the identity program ``1_A`` over the alphabet
     and ``P^(n+1) = P^n . P``, so the result is the left fold
     ``(..((1_A . P) . P) .. P)`` of n compositions: its time is linear in n.
-    The exponent must be a non-negative ``int`` (``bool`` included).
+    The exponent must be an ``int`` (``bool`` included) from 0 to
+    ``sys.maxsize``.
     """
     if not isinstance(n, int):
         raise TypeError(f"exponent must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"exponent must be non-negative, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"exponent must be at most {sys.maxsize}, got {n}")
     _require_covers(atoms(program).atoms, alphabet)
     return reduce(compose, repeat(program, n), unit(alphabet))
 
@@ -370,13 +376,14 @@ def power(program: Program, n: int, alphabet: Alphabet) -> Program:
 def star(program: Program, alphabet: Alphabet) -> Program:
     """The union of all composition powers of the program, 0-fold included.
 
-    Closed form: the fact ``h`` for every ``h`` in ``omega(P)``, and the
-    proper rule ``h :- b`` for every ``b`` in the alphabet and every ``h``
-    reachable from ``b`` along proper-rule edges, ``b`` itself included.
-    The proper rules of the n-th power are the paths of length n (length 0
-    being the identity program), and the union of the facts of the
-    positive powers is the least model. The rules are read off reach rows
-    over the alphabet, one block of it at a time (see ``_reaches``).
+    Closed form: the rule ``h :- b`` for every ``b`` in the alphabet and
+    every ``h`` reachable from ``b`` along proper-rule edges, ``b`` itself
+    included, and the fact ``h`` for every ``h`` the root reaches, that is
+    for every ``h`` in ``omega(P)``. The proper rules of the n-th power are
+    the paths of length n (length 0 being the identity program), and the
+    union of the facts of the positive powers is the least model. All of
+    them are read off reach rows over the alphabet, one block of it at a
+    time (see ``_reaches``): the facts are the root's row.
     """
     return _paths(program, alphabet, strict=False)
 
@@ -384,28 +391,26 @@ def star(program: Program, alphabet: Alphabet) -> Program:
 def plus(program: Program, alphabet: Alphabet) -> Program:
     """The union of all positive composition powers: ``star(P) . P``.
 
-    Closed form: the fact ``h`` for every ``h`` in ``omega(P)``, and the
-    proper rule ``h :- b`` for every ``h`` reachable by a path of length at
-    least one from ``b``, that is from a successor of ``b``. Computed over
-    the same blocks of the alphabet as :func:`star`, without building the
-    star: the row of ``b`` is the OR of its successors' rows.
+    Closed form: the proper rule ``h :- b`` for every ``h`` reachable by a
+    path of length at least one from ``b``, that is from a successor of
+    ``b``, and the fact ``h`` for every ``h`` in ``omega(P)``, which the
+    root reaches by such paths. Computed over the same blocks of the
+    alphabet as :func:`star`, without building the star: the row of a
+    vertex, the root's included, is the OR of its successors' rows.
     """
     return _paths(program, alphabet, strict=True)
 
 
 def _paths(program: Program, alphabet: Alphabet, strict: bool) -> Program:
-    # The least model as facts, and h :- b for every b in the alphabet and
-    # every h reachable from b by a path of at least one edge if strict,
-    # of any length otherwise.
+    # h :- b for every vertex b and every atom h of the alphabet reachable
+    # from b by a path of at least one edge if strict, of any length
+    # otherwise. The root b = None reaches no atom by a path of no edges,
+    # so its pairs (h, None) are the least model as facts either way.
     _require_covers(atoms(program).atoms, alphabet)
-    fact_atoms, edges = _graph(program)
-    return Program._wrap(frozenset(map(_rule, chain(
-        zip(_closure(edges, fact_atoms), repeat(None)),
-        chain.from_iterable(
-            zip(_members(row, block), repeat(b))
-            for block, rows in _reaches(edges, alphabet.atoms, strict)
-            for b, row in rows.items()
-        ),
+    return Program._wrap(frozenset(map(_rule, chain.from_iterable(
+        zip(_members(row, block), repeat(b))
+        for block, rows in _reaches(_graph(program.rules), alphabet.atoms, strict)
+        for b, row in rows.items()
     ))))
 
 
@@ -414,14 +419,14 @@ _WIDTH = 1 << 13
 
 
 def _reaches(
-    edges: dict[Atom, list[Atom]], targets: Iterable[Atom], strict: bool
-) -> Iterator[tuple[list[Atom], dict[Atom, int]]]:
-    # Which targets each atom reaches along `edges` (the digraph of
-    # `_graph`): by a path of at least one edge if strict, of any length
-    # otherwise. The sorted targets are cut into blocks of `_WIDTH`, and
-    # per block this yields the block and its rows from `_rows`. Every
-    # call with the same targets cuts the same blocks.
-    parents: dict[Atom, list[Atom]] = {}
+    edges: dict[Atom | None, list[Atom]], targets: Iterable[Atom], strict: bool
+) -> Iterator[tuple[list[Atom], dict[Atom | None, int]]]:
+    # Which targets each vertex reaches along `edges` (the digraph of
+    # `_graph`, the root included): by a path of at least one edge if
+    # strict, of any length otherwise. The sorted targets are cut into
+    # blocks of `_WIDTH`, and per block this yields the block and its rows
+    # from `_rows`. Every call with the same targets cuts the same blocks.
+    parents: dict[Atom, list[Atom | None]] = {}
     for b, hs in edges.items():
         for h in hs:
             parents.setdefault(h, []).append(b)
@@ -432,35 +437,37 @@ def _reaches(
 
 
 def _rows(
-    edges: dict[Atom, list[Atom]],
-    parents: dict[Atom, list[Atom]],
+    edges: dict[Atom | None, list[Atom]],
+    parents: dict[Atom, list[Atom | None]],
     block: list[Atom],
     strict: bool,
-) -> dict[Atom, int]:
-    # The reach rows over one block of targets, {atom: row}, of the atoms
-    # whose row is not empty: bit i of a row stands for block[i]. `parents`
-    # is `edges` reversed.
+) -> dict[Atom | None, int]:
+    # The reach rows over one block of targets, {vertex: row}, of the
+    # vertices whose row is not empty: bit i of a row stands for block[i].
+    # `parents` is `edges` reversed.
     #
-    # Kosaraju's two searches condense the digraph on the atoms that reach
-    # the block (Sharir, Comput. Math. Appl. 1981). The first, a depth-first
-    # search up `parents` from the block, finds exactly those atoms, `seen`,
-    # and lists each in `order` once the search above it is done, so every
-    # component ends in `order` after all the atoms of the components above
-    # it. The second takes `order` backwards: each atom still in `seen`
-    # starts a search down `edges` through the atoms still in `seen`,
-    # taking each out as it goes, and that search finds exactly the atom's
-    # component, with every component below it already done. The
-    # component's row is the bits of its own targets ORed with the rows of
-    # the done atoms it meets (Purdom, BIT 1970); an edge to an atom the
-    # first search did not find leads to no target. Each search costs
-    # O(n + m) steps over the atoms and rules that reach the block, the
-    # second each an OR of rows of at most `_WIDTH` bits.
+    # Kosaraju's two searches condense the digraph on the vertices that
+    # reach the block (Sharir, Comput. Math. Appl. 1981). The first, a
+    # depth-first search up `parents` from the block, finds exactly those
+    # vertices, `seen`, and lists each in `order` once the search above it
+    # is done, so every component ends in `order` after all the vertices of
+    # the components above it. The second takes `order` backwards: each
+    # vertex still in `seen` starts a search down `edges` through the
+    # vertices still in `seen`, taking each out as it goes, and that search
+    # finds exactly the vertex's component, with every component below it
+    # already done. The component's row is the bits of its own targets ORed
+    # with the rows of the done vertices it meets (Purdom, BIT 1970); an
+    # edge to a vertex the first search did not find leads to no target.
+    # Each search costs O(n + m) steps over the vertices and rules that
+    # reach the block, the second each an OR of rows of at most `_WIDTH`
+    # bits.
     bit = {a: 1 << i for i, a in enumerate(block)}
     seen = set()
-    order: list[Atom] = []
-    # The first search starts at `None`, standing for a root whose parents
-    # are the block's atoms, and drops it from `order` once it is done.
-    work = [(None, iter(block))]
+    order: list[Atom | None] = []
+    # The first search starts at `...`, a sentinel that is neither an atom
+    # nor the root and whose parents are the block's atoms, and drops it
+    # from `order` once it is done.
+    work = [(..., iter(block))]
     while work:
         v, todo = work[-1]
         for w in todo:
@@ -472,12 +479,12 @@ def _rows(
             work.pop()
             order.append(v)
     order.pop()
-    row: dict[Atom, int] = {}  # the row of an atom's component, once it is done
-    for root in reversed(order):
-        if root not in seen:
+    row: dict[Atom | None, int] = {}  # the row of a vertex's component, once it is done
+    for top in reversed(order):
+        if top not in seen:
             continue
-        seen.remove(root)
-        members = [root]
+        seen.remove(top)
+        members = [top]
         r = 0
         for v in members:
             r |= bit.get(v, 0)
@@ -495,28 +502,27 @@ def _rows(
     return row
 
 
-def _graph(program: Program) -> tuple[list[Atom], dict[Atom, list[Atom]]]:
-    # The fact atoms, and the heads of the proper rules keyed by their body:
-    # the digraph with an edge body -> head per proper rule.
-    fact_atoms = []
-    edges: dict[Atom, list[Atom]] = {}
-    for r in program.rules:
-        if r.body is None:
-            fact_atoms.append(r.head)
-        else:
-            edges.setdefault(r.body, []).append(r.head)
-    return fact_atoms, edges
+def _graph(rules: Iterable[Rule]) -> dict[Atom | None, list[Atom]]:
+    # The heads of the rules keyed by their body: the digraph with an edge
+    # body -> head per rule. A fact's body is None, the root, so the key
+    # None lists the facts.
+    edges: dict[Atom | None, list[Atom]] = {}
+    for head, body in rules:
+        edges.setdefault(body, []).append(head)
+    return edges
 
 
-def _closure(edges: dict[Atom, list[Atom]], seeds: Iterable[Atom]) -> set:
-    # Every atom reachable from the seeds, the seeds included.
-    seen = set(seeds)
+def _closure(edges: dict[Atom | None, list[Atom]], seeds: Iterable[Atom | None]) -> set:
+    # Every atom reachable from the root or from the seeds, the seeds
+    # included and the root left out.
+    seen = {None, *seeds}
     stack = list(seen)
     while stack:
         for h in edges.get(stack.pop(), ()):
             if h not in seen:
                 seen.add(h)
                 stack.append(h)
+    seen.discard(None)
     return seen
 
 
@@ -534,12 +540,12 @@ def _members(bits: int, block: list[Atom]) -> Iterator[Atom]:
 def omega(program: Program) -> Interpretation:
     """The least model: every atom derivable from the facts.
 
-    Computed as graph reachability: seed with the fact atoms and follow the
-    edge ``body -> head`` of every proper rule. Equals the union of the fact
-    parts of all positive composition powers.
+    Computed as graph reachability: everything the root reaches along the
+    edge ``root -> a`` of every fact ``a`` and the edge ``body -> head`` of
+    every proper rule. Equals the union of the fact parts of all positive
+    composition powers.
     """
-    fact_atoms, edges = _graph(program)
-    return Interpretation._wrap(frozenset(_closure(edges, fact_atoms)))
+    return Interpretation._wrap(frozenset(_closure(_graph(program.rules), ())))
 
 
 def models(interp: AtomSet, program: Program) -> bool:
@@ -564,9 +570,9 @@ def reach(program: Program, interp: Interpretation) -> Interpretation:
     containing facts, naming the least one; reachability is an edge-set
     notion.
     """
-    fact_atoms, edges = _graph(program)
-    if fact_atoms:
-        raise ValueError(f"expected a proper-rules-only program, found fact {min(fact_atoms)}")
+    edges = _graph(program.rules)
+    if None in edges:
+        raise ValueError(f"expected a proper-rules-only program, found fact {min(edges[None])}")
     return Interpretation._wrap(frozenset(_closure(edges, interp.atoms)))
 
 
@@ -574,7 +580,7 @@ def extend_omega(k: Program, interp: Interpretation) -> Interpretation:
     """Least model of the program extended with the interpretation as facts.
 
     Equals ``omega(k | interp.as_program())`` but never materializes the
-    union: the search is seeded with the facts and the interpretation.
+    union: one search runs from the root, which reaches the facts, and
+    from the interpretation's atoms.
     """
-    fact_atoms, edges = _graph(k)
-    return Interpretation._wrap(frozenset(_closure(edges, [*fact_atoms, *interp.atoms])))
+    return Interpretation._wrap(frozenset(_closure(_graph(k.rules), interp.atoms)))

@@ -27,7 +27,6 @@ from .algebra import (
     _reaches,
     atoms,
     compose,
-    extend_omega,
     models,
     omega,
 )
@@ -147,8 +146,8 @@ def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
     Atoms outside both programs extend both sides by exactly themselves.
 
     The least models B are compared first. Where they are equal, only the
-    atoms of T need a look: the heads of the proper rules that one program
-    has and the other lacks, less B. For every atom x, ``B | reach_K(x)``
+    atoms of T need a look: the heads of the rules that one program has
+    and the other lacks, less B. For every atom x, ``B | reach_K(x)``
     equals ``B | reach_L(x)`` exactly when the two reaches agree on T.
     Suppose h is in ``B | reach_L(x)`` but not in ``B | reach_K(x)``, and
     follow an L-path from x to h. The first of its edges that leaves
@@ -165,11 +164,11 @@ def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
     models differ, and otherwise the least atom whose rows differ in any
     block.
     """
-    (facts_k, edges_k), (facts_l, edges_l) = _graph(k), _graph(l)
-    base = _closure(edges_k, facts_k)
-    if base != _closure(edges_l, facts_l):
+    edges_k, edges_l = _graph(k.rules), _graph(l.rules)
+    base = _closure(edges_k, ())
+    if base != _closure(edges_l, ()):
         return EquivVerdict(False, Interpretation())
-    targets = {r.head for r in k.rules ^ l.rules if r.body is not None} - base
+    targets = {r.head for r in k.rules ^ l.rules} - base
     if not targets:
         return EquivVerdict(True)
     differ = [
@@ -246,12 +245,13 @@ def minimize(k: Program) -> Program:
     iff it satisfies ``r``. For a fact ``h`` that holds iff ``h`` is in the
     least model of ``C - {r}``. For ``h :- b`` every extension whose least
     model holds ``b`` contains the least model of ``C - {r}`` extended by
-    ``b``, so it holds iff ``h`` is in the latter.
+    ``b``, so it holds iff ``h`` is in the latter. Either way the query is
+    one search of the digraph of ``C - {r}`` from the root and from the
+    rule's body, which for a fact is the root itself.
     """
     current = set(k.rules)
     for r in k:
         current.discard(r)
-        seed = Interpretation(() if r.body is None else (r.body,))
-        if r.head not in extend_omega(Program._wrap(frozenset(current)), seed):
+        if r.head not in _closure(_graph(current), (r.body,)):
             current.add(r)
     return Program._wrap(frozenset(current))

@@ -129,8 +129,8 @@ def to_dot(program: Program) -> str:
     Fact atoms get a doubled border (``peripheries=2``). Nodes and edges are
     emitted in sorted order, so the output is deterministic.
     """
-    facts, edges = _graph(program)
-    fact_atoms = set(facts)
+    edges = _graph(program.rules)
+    fact_atoms = set(edges.pop(None, ()))
     lines = ["digraph program {"]
     for a in sorted(fact_atoms.union(edges, *edges.values())):
         if a in fact_atoms:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -346,6 +347,14 @@ class TestPower:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             power(prog("a"), -1, Alphabet(["a"]))
+
+    @pytest.mark.parametrize("n", [sys.maxsize + 1, 2**64, 10**20])
+    def test_rejects_exponent_past_maxsize(self, n):
+        # itertools.repeat takes no count past sys.maxsize; the error names
+        # the exponent instead of raising OverflowError.
+        with pytest.raises(ValueError) as exc:
+            power(prog("a"), n, Alphabet(["a"]))
+        assert str(exc.value) == f"exponent must be at most {sys.maxsize}, got {n}"
 
     @pytest.mark.parametrize(
         "n, message",

@@ -113,6 +113,11 @@ class TestClosures:
         assert code == 2
         assert "non-negative" in err
 
+    def test_power_past_maxsize(self, run, write):
+        code, out, err = run("power", write("a.\n"), "99999999999999999999")
+        assert (code, out) == (2, "")
+        assert err == f"error: exponent must be at most {sys.maxsize}, got 99999999999999999999\n"
+
 
 class TestEquiv:
     def test_not_equivalent_with_witness(self, run, write):

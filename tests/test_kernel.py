@@ -166,7 +166,8 @@ def test_different_least_models_need_no_rows(monkeypatch):
     assert uniform_equiv(CHAIN, with_fact) == EquivVerdict(False, Interpretation())
     founded = with_fact | Program([Rule(last)])
     inside = founded | Program([Rule(middle, last), Rule(last, first)])
-    for k, l in [(CHAIN, CHAIN), (founded, inside), (inside, founded)]:
+    derived = founded | Program([Rule(NAMES_1000[600])])
+    for k, l in [(CHAIN, CHAIN), (founded, inside), (inside, founded), (founded, derived)]:
         assert uniform_equiv(k, l) == EquivVerdict(True)
     assert not blocks
     assert uniform_equiv(CHAIN, CHAIN | Program([Rule(last, first)])) == EquivVerdict(True)
