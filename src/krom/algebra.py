@@ -8,10 +8,13 @@ of L, and chains K's proper rules through L's proper rules. Iterating
 composition yields the closure operators ``power``, ``star``, and ``plus``;
 ``omega`` computes the least model.
 
-A program is also the edge set of a digraph with one vertex per atom and a
-root standing for the empty body: a proper rule ``a :- b`` is an edge from b
-to a, and a fact ``a`` an edge from the root to a. Most questions about a
-program are reachability questions. ``omega``, ``reach`` and
+A program is a digraph with one vertex per atom and a root standing for
+the empty body: a proper rule ``a :- b`` is an edge from b to a, and a fact
+``a`` an edge from the root to a. A ``Program`` is stored as that digraph,
+the heads of its rules keyed by their body and the facts under the root
+``None``, and makes ``Rule`` objects only when it is iterated or asked for
+its ``rules``. Most questions about a program are reachability questions,
+and they read the stored digraph as it is. ``omega``, ``reach`` and
 ``extend_omega`` ask what the root and one set of seeds reach, and run one
 search from them. ``star``, ``plus`` and ``equivalence.uniform_equiv`` ask
 which of a set of target atoms every vertex reaches: the alphabet for
@@ -20,15 +23,17 @@ which of a set of target atoms every vertex reaches: the alphabet for
 lacks. They read it off reach rows, one bitset per vertex over a block of
 targets at a time. Each block takes two searches over the vertices that
 reach it: one up the rules finds them, and one down the rules condenses
-them and builds their rows.
+them and builds their rows. ``star`` and ``plus`` keep one tuple of heads
+per row, and ``compose`` joins the two digraphs body by body.
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
 
 Validation happens once, where input enters: the public constructors of
 ``Atom``, ``Program``, ``Interpretation`` and ``Alphabet`` check every
-value. Library results, ``textio.parse`` (one ``Atom`` per distinct name)
-and the ``gen`` functions build their values from atoms that are already
-valid, through the unchecked ``_wrap``.
+value, ``Program`` each distinct atom once. Library results,
+``textio.parse`` (one ``Atom`` per distinct name) and the ``gen`` functions
+build their values from atoms that are already valid, through the
+unchecked ``_wrap``.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from __future__ import annotations
 import re
 import sys
 from functools import partial, reduce
-from itertools import chain, compress, repeat
-from operator import or_
+from itertools import chain, compress, filterfalse, repeat
+from operator import and_, eq, le, lt, or_, sub
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -105,15 +110,18 @@ class Rule(NamedTuple):
         return self.body is None
 
     def __str__(self) -> str:
-        if self.body is None:
-            return self.head
-        return f"{self.head} :- {self.body}"
+        return self.head if self.body is None else f"{self.head} :- {self.body}"
 
 
 # A Rule from a (head, body) pair, for the programs the algebra builds from
 # pairs. The generated Rule.__new__ does nothing more than tuple.__new__, so
 # this skips only its Python frame. A fact's pair is (head, None).
 _rule = partial(tuple.__new__, Rule)
+
+
+def _pairs(items: Iterable[tuple]) -> Iterator[tuple]:
+    # The (head, body) pair of every rule, from (body, heads) items.
+    return chain.from_iterable(zip(hs, repeat(b)) for b, hs in items)
 
 
 def fact(name: str) -> Rule:
@@ -126,39 +134,135 @@ def rule(head: str, body: str) -> Rule:
     return Rule(Atom(head), Atom(body))
 
 
-def _rule_key(r: Rule) -> tuple:
-    # Facts sort before proper rules; ties break on (head, body).
-    return (r.body is not None, r.head, r.body or "")
+def _canonical(edges: dict) -> dict:
+    # The stored form of a Program from heads keyed by body: each body's
+    # distinct heads as a sorted tuple, and no body without heads.
+    return {b: tuple(sorted(hs)) for b, hs in edges.items() if hs}
 
 
-class _SortedSet:
-    """An immutable finite set whose iteration is sorted.
+class Program:
+    """An immutable, duplicate-free set of rules, stored as its digraph.
 
-    The storage and the set behaviour shared by :class:`Program` (a set of
-    rules) and :class:`AtomSet` (a set of atoms). Each direct subclass
-    founds a family: ``==``, ``|`` and ``-`` combine members of one family
-    only (anything else gets ``NotImplemented``), and results take the type
-    of the left operand.
+    A program keeps the heads of its rules keyed by their body, with the
+    facts under the root ``None``: each body maps to the sorted tuple of
+    its heads, and no body maps to an empty one. That is one canonical
+    form per rule set, so ``len``, ``==``, ``hash``, ``in``, ``|`` and
+    ``-`` work body by body, and the graph questions of this module read
+    it as it is. :attr:`rules` and iteration make :class:`Rule` objects on
+    demand. Iteration is sorted (facts first by head, then proper rules by
+    head and body), so rendering and witnesses never depend on insertion
+    order. ``|`` and ``-`` give rule-set union and difference, and combine
+    programs only.
+    """
+
+    __slots__ = ("_edges",)
+
+    def __init__(self, rules: Iterable[Rule] = ()):
+        rs = frozenset(rules)
+        if not all(map(isinstance, rs, repeat(Rule))):
+            raise TypeError(f"not a Rule: {next(r for r in rs if not isinstance(r, Rule))!r}")
+        edges = _graph(rs)
+        # Each distinct atom is checked once; a head of None is checked too.
+        for a in edges.keys() - {None} | set(chain.from_iterable(edges.values())):
+            Atom(a)
+        self._edges = _canonical(edges)
+
+    @classmethod
+    def _wrap(cls, edges: dict[Atom | None, tuple[Atom, ...]]) -> "Program":
+        # Trusted fast path: the caller guarantees that `edges` is in the
+        # stored form and holds only atoms the public constructor accepts.
+        p = object.__new__(cls)
+        p._edges = edges
+        return p
+
+    @property
+    def rules(self) -> frozenset[Rule]:
+        return frozenset(map(_rule, _pairs(self._edges.items())))
+
+    def __iter__(self) -> Iterator[Rule]:
+        # The facts are sorted already; the proper rules sort as plain pairs.
+        return map(_rule, chain(
+            zip(self._edges.get(None, ()), repeat(None)),
+            sorted(_pairs((b, hs) for b, hs in self._edges.items() if b is not None)),
+        ))
+
+    def __len__(self) -> int:
+        return sum(map(len, self._edges.values()))
+
+    def __contains__(self, item: object) -> bool:
+        return isinstance(item, tuple) and len(item) == 2 and item[0] in self._edges.get(item[1], ())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Program):
+            return NotImplemented
+        return self._edges == other._edges
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._edges.items()))
+
+    def __or__(self, other: "Program") -> "Program":
+        if not isinstance(other, Program):
+            return NotImplemented
+        mine, theirs = self._edges, other._edges
+        return Program._wrap(_canonical({
+            b: {*mine.get(b, ()), *theirs.get(b, ())} for b in mine.keys() | theirs.keys()
+        }))
+
+    def __sub__(self, other: "Program") -> "Program":
+        if not isinstance(other, Program):
+            return NotImplemented
+        # A body under which both programs keep the same heads keeps none.
+        theirs = other._edges
+        return Program._wrap({
+            b: kept for b, hs in self._edges.items()
+            if hs != (drop := theirs.get(b, ()))
+            and (kept := tuple(filterfalse(set(drop).__contains__, hs)))
+        })
+
+    def __repr__(self) -> str:
+        return f"Program({{{', '.join(map(str, self))}}})"
+
+
+def _atom_set_operator(op, wrap: bool):
+    # An AtomSet operator: `op` on the two operands' frozensets of atoms,
+    # with a set result wrapped in the type of the left operand. Any other
+    # right operand gets NotImplemented.
+    def operator(self, other):
+        if not isinstance(other, AtomSet):
+            return NotImplemented
+        out = op(self._items, other._items)
+        return self._wrap(out) if wrap else out
+
+    return operator
+
+
+class AtomSet:
+    """A set of atoms: the base of :class:`Interpretation` and :class:`Alphabet`.
+
+    An immutable finite set whose iteration is in atom order. The two
+    compare equal when they hold the same atoms, and mix freely under
+    ``|``, ``&``, ``-``, ``<=`` and ``<``; results take the type of the
+    left operand, and anything but an atom set gets ``NotImplemented``.
     """
 
     __slots__ = ("_items",)
-    # Sort key for iteration; None sorts the items themselves.
-    _key = None
 
-    def __init_subclass__(cls):
-        if _SortedSet in cls.__bases__:
-            cls._family = cls
+    def __init__(self, atoms: Iterable[str] = ()):
+        self._items = frozenset(Atom(a) for a in atoms)
 
     @classmethod
     def _wrap(cls, items: frozenset):
-        # Trusted fast path: the caller guarantees every item is one the
-        # public constructor would accept.
+        # Trusted fast path: the caller guarantees every item is an Atom.
         s = object.__new__(cls)
         s._items = items
         return s
 
-    def __iter__(self) -> Iterator:
-        return iter(sorted(self._items, key=self._key))
+    @property
+    def atoms(self) -> frozenset[Atom]:
+        return self._items
+
+    def __iter__(self) -> Iterator[Atom]:
+        return iter(sorted(self._items))
 
     def __len__(self) -> int:
         return len(self._items)
@@ -166,87 +270,15 @@ class _SortedSet:
     def __contains__(self, item: object) -> bool:
         return item in self._items
 
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, self._family):
-            return NotImplemented
-        return self._items == other._items
-
     def __hash__(self) -> int:
         return hash(self._items)
 
-    def __or__(self, other):
-        if not isinstance(other, self._family):
-            return NotImplemented
-        return self._wrap(self._items | other._items)
-
-    def __sub__(self, other):
-        if not isinstance(other, self._family):
-            return NotImplemented
-        return self._wrap(self._items - other._items)
-
-
-class Program(_SortedSet):
-    """An immutable, duplicate-free set of rules.
-
-    Iteration is sorted (facts first by head, then proper rules by head and
-    body), so rendering and witnesses never depend on insertion order.
-    ``|`` and ``-`` give rule-set union and difference.
-    """
-
-    __slots__ = ()
-    _key = staticmethod(_rule_key)
-
-    def __init__(self, rules: Iterable[Rule] = ()):
-        rs = frozenset(rules)
-        for r in rs:
-            if not isinstance(r, Rule):
-                raise TypeError(f"not a Rule: {r!r}")
-            Atom(r.head)
-            if r.body is not None:
-                Atom(r.body)
-        self._items = rs
-
-    @property
-    def rules(self) -> frozenset[Rule]:
-        return self._items
-
-    def __repr__(self) -> str:
-        return f"Program({{{', '.join(str(r) for r in self)}}})"
-
-
-class AtomSet(_SortedSet):
-    """A set of atoms: the base of :class:`Interpretation` and :class:`Alphabet`.
-
-    The two compare equal when they hold the same atoms, and mix freely
-    under ``|``, ``&``, ``-``, ``<=`` and ``<``. Iteration is in atom order.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, atoms: Iterable[str] = ()):
-        self._items = frozenset(Atom(a) for a in atoms)
-
-    @property
-    def atoms(self) -> frozenset[Atom]:
-        return self._items
-
-    def __and__(self, other: "AtomSet"):
-        if not isinstance(other, AtomSet):
-            return NotImplemented
-        return self._wrap(self._items & other._items)
-
-    def __le__(self, other: "AtomSet") -> bool:
-        if not isinstance(other, AtomSet):
-            return NotImplemented
-        return self._items <= other._items
-
-    def __lt__(self, other: "AtomSet") -> bool:
-        if not isinstance(other, AtomSet):
-            return NotImplemented
-        return self._items < other._items
+    __eq__ = _atom_set_operator(eq, wrap=False)
+    __le__ = _atom_set_operator(le, wrap=False)
+    __lt__ = _atom_set_operator(lt, wrap=False)
+    __or__ = _atom_set_operator(or_, wrap=True)
+    __sub__ = _atom_set_operator(sub, wrap=True)
+    __and__ = _atom_set_operator(and_, wrap=True)
 
     def __str__(self) -> str:
         return "{" + ", ".join(self) + "}"
@@ -259,15 +291,15 @@ class Interpretation(AtomSet):
     """A set of atoms, identified with the facts-only program over it."""
 
     def as_program(self) -> Program:
-        return Program._wrap(frozenset(map(_rule, zip(self._items, repeat(None)))))
+        return Program._wrap(_canonical({None: self._items}))
 
     @classmethod
     def from_program(cls, program: Program) -> "Interpretation":
         """Inverse of :meth:`as_program`; rejects programs with proper rules."""
-        bad = [r for r in program.rules if r.body is not None]
+        bad = proper(program)
         if bad:
-            raise ValueError(f"not a facts-only program: contains {min(bad, key=_rule_key)}")
-        return cls._wrap(frozenset(r.head for r in program.rules))
+            raise ValueError(f"not a facts-only program: contains {next(iter(bad))}")
+        return cls._wrap(frozenset(program._edges.get(None, ())))
 
 
 class Alphabet(AtomSet):
@@ -277,26 +309,25 @@ class Alphabet(AtomSet):
 def atoms(program: Program) -> Alphabet:
     """Every atom occurring in the program, as head, body, or fact.
 
-    The union of every rule's fields, less the ``None`` body of a fact.
+    The bodies and the heads of the stored digraph, less the root ``None``
+    under which the facts are kept.
     """
-    return Alphabet._wrap(frozenset(chain.from_iterable(program.rules)) - {None})
+    return Alphabet._wrap(frozenset(chain(program._edges, heads(program).atoms)) - {None})
 
 
 def facts(program: Program) -> Interpretation:
     """The fact atoms of the program."""
-    return Interpretation._wrap(
-        frozenset(r.head for r in program.rules if r.body is None)
-    )
+    return Interpretation._wrap(frozenset(program._edges.get(None, ())))
 
 
 def proper(program: Program) -> Program:
     """The subset of proper rules of the program."""
-    return Program._wrap(frozenset(r for r in program.rules if r.body is not None))
+    return Program._wrap({b: hs for b, hs in program._edges.items() if b is not None})
 
 
 def heads(program: Program) -> Interpretation:
     """All rule heads; a fact counts as its own head."""
-    return Interpretation._wrap(frozenset(r.head for r in program.rules))
+    return Interpretation._wrap(frozenset(chain.from_iterable(program._edges.values())))
 
 
 def compose(k: Program, l: Program) -> Program:
@@ -311,30 +342,20 @@ def compose(k: Program, l: Program) -> Program:
       ``b :- c`` in ``l``.
 
     A fact ``b`` is the rule ``b`` with an empty body, so the last two sets
-    are one join of ``k``'s bodies with ``l``'s heads: each ``a :- b`` of
-    ``k`` meets every rule of ``l`` with head ``b``, and gives ``a :- c``
-    where that rule is ``b :- c``, or the fact ``a`` where it is the fact
-    ``b``. The first set joins the same way: the empty body of a fact of
-    ``k`` meets the one entry ``None`` that ``l``'s index holds for it, so
-    the fact gives itself. Many join results can be one output rule; each
-    distinct ``(head, body)`` pair becomes one :class:`Rule`, made when the
-    join first reaches it.
+    are one product of the two digraphs: the heads of the result under a
+    body ``c`` of ``l``, the root included, are the heads that ``k`` keeps
+    under the heads ``l`` keeps under ``c``. The first set is the heads
+    ``k`` keeps under the root itself.
     """
-    # l's rule bodies keyed by their head; a fact's body is None, and the
-    # pair (a, None) is the fact a. The key None, which no head takes, maps
-    # to that one body, so each fact of k joins to itself.
-    l_bodies: dict[Atom | None, list[Atom | None]] = {None: [None]}
-    for head, body in l.rules:
-        l_bodies.setdefault(head, []).append(body)
-    # A Rule hashes and compares as its tuple, so a pair already in `out`
-    # is found without making a Rule for it.
-    out = set()
-    for head, body in k.rules:
-        for c in l_bodies.get(body, ()):
-            pair = (head, c)
-            if pair not in out:
-                out.add(_rule(pair))
-    return Program._wrap(frozenset(out))
+    get = k._edges.get
+    out = {}
+    for c, bs in l._edges.items():
+        out[c] = hs = set()
+        for b in bs:
+            hs.update(get(b, ()))
+    if None in k._edges:
+        out[None] = out.get(None, set()).union(get(None))
+    return Program._wrap(_canonical(out))
 
 
 def unit(alphabet: Alphabet) -> Program:
@@ -343,15 +364,13 @@ def unit(alphabet: Alphabet) -> Program:
     It is the two-sided identity of :func:`compose` for every program whose
     atoms lie inside the alphabet.
     """
-    # A set iterates in one order, so zip pairs each atom with itself.
-    return Program._wrap(frozenset(map(_rule, zip(alphabet.atoms, alphabet.atoms))))
+    return Program._wrap({a: (a,) for a in alphabet.atoms})
 
 
 def _require_covers(program_atoms: set | frozenset, alphabet: Alphabet) -> None:
     extra = program_atoms - alphabet.atoms
     if extra:
-        missing = ", ".join(sorted(extra))
-        raise ValueError(f"program atoms not in the alphabet: {missing}")
+        raise ValueError(f"program atoms not in the alphabet: {', '.join(sorted(extra))}")
 
 
 def power(program: Program, n: int, alphabet: Alphabet) -> Program:
@@ -406,12 +425,14 @@ def _paths(program: Program, alphabet: Alphabet, strict: bool) -> Program:
     # from b by a path of at least one edge if strict, of any length
     # otherwise. The root b = None reaches no atom by a path of no edges,
     # so its pairs (h, None) are the least model as facts either way.
+    # Each block's row of b adds b's heads in that block, after those of
+    # the blocks before it, so every head tuple comes out sorted.
     _require_covers(atoms(program).atoms, alphabet)
-    return Program._wrap(frozenset(map(_rule, chain.from_iterable(
-        zip(_members(row, block), repeat(b))
-        for block, rows in _reaches(_graph(program.rules), alphabet.atoms, strict)
-        for b, row in rows.items()
-    ))))
+    edges: dict[Atom | None, tuple[Atom, ...]] = {}
+    for block, rows in _reaches(program._edges, alphabet.atoms, strict):
+        for b, row in rows.items():
+            edges[b] = (*edges.get(b, ()), *_members(row, block))
+    return Program._wrap(edges)
 
 
 # Targets per block of reach rows: a row holds at most this many bits.
@@ -419,10 +440,10 @@ _WIDTH = 1 << 13
 
 
 def _reaches(
-    edges: dict[Atom | None, list[Atom]], targets: Iterable[Atom], strict: bool
+    edges: dict[Atom | None, Iterable[Atom]], targets: Iterable[Atom], strict: bool
 ) -> Iterator[tuple[list[Atom], dict[Atom | None, int]]]:
-    # Which targets each vertex reaches along `edges` (the digraph of
-    # `_graph`, the root included): by a path of at least one edge if
+    # Which targets each vertex reaches along `edges` (a program's stored
+    # digraph, the root included): by a path of at least one edge if
     # strict, of any length otherwise. The sorted targets are cut into
     # blocks of `_WIDTH`, and per block this yields the block and its rows
     # from `_rows`. Every call with the same targets cuts the same blocks.
@@ -437,7 +458,7 @@ def _reaches(
 
 
 def _rows(
-    edges: dict[Atom | None, list[Atom]],
+    edges: dict[Atom | None, Iterable[Atom]],
     parents: dict[Atom, list[Atom | None]],
     block: list[Atom],
     strict: bool,
@@ -502,17 +523,17 @@ def _rows(
     return row
 
 
-def _graph(rules: Iterable[Rule]) -> dict[Atom | None, list[Atom]]:
+def _graph(rules: Iterable[Rule]) -> dict[Atom | None, Iterable[Atom]]:
     # The heads of the rules keyed by their body: the digraph with an edge
     # body -> head per rule. A fact's body is None, the root, so the key
     # None lists the facts.
-    edges: dict[Atom | None, list[Atom]] = {}
+    edges: dict[Atom | None, Iterable[Atom]] = {}
     for head, body in rules:
         edges.setdefault(body, []).append(head)
     return edges
 
 
-def _closure(edges: dict[Atom | None, list[Atom]], seeds: Iterable[Atom | None]) -> set:
+def _closure(edges: dict[Atom | None, Iterable[Atom]], seeds: Iterable[Atom | None]) -> set:
     # Every atom reachable from the root or from the seeds, the seeds
     # included and the root left out.
     seen = {None, *seeds}
@@ -545,7 +566,7 @@ def omega(program: Program) -> Interpretation:
     every proper rule. Equals the union of the fact parts of all positive
     composition powers.
     """
-    return Interpretation._wrap(frozenset(_closure(_graph(program.rules), ())))
+    return Interpretation._wrap(frozenset(_closure(program._edges, ())))
 
 
 def models(interp: AtomSet, program: Program) -> bool:
@@ -559,7 +580,7 @@ def models(interp: AtomSet, program: Program) -> bool:
     :class:`Alphabet` included.
     """
     held = interp.atoms
-    return all(r.head in held for r in program.rules if r.body is None or r.body in held)
+    return all(held.issuperset(hs) for b, hs in program._edges.items() if b is None or b in held)
 
 
 def reach(program: Program, interp: Interpretation) -> Interpretation:
@@ -570,9 +591,9 @@ def reach(program: Program, interp: Interpretation) -> Interpretation:
     containing facts, naming the least one; reachability is an edge-set
     notion.
     """
-    edges = _graph(program.rules)
+    edges = program._edges
     if None in edges:
-        raise ValueError(f"expected a proper-rules-only program, found fact {min(edges[None])}")
+        raise ValueError(f"expected a proper-rules-only program, found fact {edges[None][0]}")
     return Interpretation._wrap(frozenset(_closure(edges, interp.atoms)))
 
 
@@ -583,4 +604,4 @@ def extend_omega(k: Program, interp: Interpretation) -> Interpretation:
     union: one search runs from the root, which reaches the facts, and
     from the interpretation's atoms.
     """
-    return Interpretation._wrap(frozenset(_closure(_graph(k.rules), interp.atoms)))
+    return Interpretation._wrap(frozenset(_closure(k._edges, interp.atoms)))

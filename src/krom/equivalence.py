@@ -22,11 +22,13 @@ from .algebra import (
     InternalError,
     Interpretation,
     Program,
+    _canonical,
     _closure,
     _graph,
     _reaches,
     atoms,
     compose,
+    heads,
     models,
     omega,
 )
@@ -96,14 +98,14 @@ def lm_equiv(k: Program, l: Program) -> EquivVerdict:
 
     ``omega`` is monotone: if K's rules are a subset of L's, then
     ``omega(K) <= omega(L)``, and as ``omega(L)`` is the least model of L,
-    the two are equal exactly when ``omega(K)`` is a model of ``L - K``
-    (it always models K). So a pair where one rule set contains the other
-    takes one least model and one :func:`models` check; every other pair
-    computes both least models and compares them.
+    the two are equal exactly when ``omega(K)`` is a model of L. So a pair
+    where one rule set contains the other takes one least model and one
+    :func:`models` check; every other pair computes both least models and
+    compares them.
     """
     small, large = (k, l) if len(k) <= len(l) else (l, k)
-    if small.rules <= large.rules:
-        return EquivVerdict(models(omega(small), large - small))
+    if not small - large:
+        return EquivVerdict(models(omega(small), large))
     return EquivVerdict(omega(k) == omega(l))
 
 
@@ -164,11 +166,11 @@ def uniform_equiv(k: Program, l: Program) -> EquivVerdict:
     models differ, and otherwise the least atom whose rows differ in any
     block.
     """
-    edges_k, edges_l = _graph(k.rules), _graph(l.rules)
+    edges_k, edges_l = k._edges, l._edges
     base = _closure(edges_k, ())
     if base != _closure(edges_l, ()):
         return EquivVerdict(False, Interpretation())
-    targets = {r.head for r in k.rules ^ l.rules} - base
+    targets = (heads(k - l) | heads(l - k)).atoms - base
     if not targets:
         return EquivVerdict(True)
     differ = [
@@ -249,9 +251,10 @@ def minimize(k: Program) -> Program:
     one search of the digraph of ``C - {r}`` from the root and from the
     rule's body, which for a fact is the root itself.
     """
-    current = set(k.rules)
-    for r in k:
+    # The rules in sorted order, made once.
+    current = set(order := list(k))
+    for r in order:
         current.discard(r)
         if r.head not in _closure(_graph(current), (r.body,)):
             current.add(r)
-    return Program._wrap(frozenset(current))
+    return Program._wrap(_canonical(_graph(current)))

@@ -13,7 +13,7 @@ import random
 from collections import namedtuple
 from typing import Iterator
 
-from .algebra import Alphabet, Atom, Program, Rule
+from .algebra import Alphabet, Atom, Program, Rule, _canonical, _graph
 
 __all__ = ["GenConfig", "random_program", "enumerate_programs"]
 
@@ -76,8 +76,8 @@ def random_program(config: GenConfig) -> Program:
     displaced = ({}, {})
     atom = functools.cache(lambda i: Atom(f"x{i + 1}"))
     rng = random.Random(config.seed)
-    chosen = []
-    while len(chosen) < config.rule_count:
+    edges: dict = {}
+    for _ in range(config.rule_count):
         pool = 0 if rng.random() < config.fact_ratio else 1
         if not sizes[pool]:
             pool = 1 - pool
@@ -87,11 +87,11 @@ def random_program(config: GenConfig) -> Program:
         index = displaced[pool].get(i, i)
         displaced[pool][i] = displaced[pool].pop(last, last)
         if pool == 0:
-            chosen.append(Rule(atom(index)))
+            edges.setdefault(None, []).append(atom(index))
         else:
             head, body = divmod(index, n)
-            chosen.append(Rule(atom(head), atom(body)))
-    return Program._wrap(frozenset(chosen))
+            edges.setdefault(atom(body), []).append(atom(head))
+    return Program._wrap(_canonical(edges))
 
 
 def enumerate_programs(alphabet: Alphabet, max_rules: int) -> Iterator[Program]:
@@ -114,4 +114,4 @@ def enumerate_programs(alphabet: Alphabet, max_rules: int) -> Iterator[Program]:
     universe.extend(Rule(h, b) for h in names for b in names)
     for size in range(min(max_rules, len(universe)) + 1):
         for combo in itertools.combinations(universe, size):
-            yield Program._wrap(frozenset(combo))
+            yield Program._wrap(_canonical(_graph(combo)))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import re
 
-from .algebra import _ATOM, Atom, Program, Rule, _graph
+from .algebra import _ATOM, Atom, Program, _canonical
 
 __all__ = ["ParseError", "parse", "render", "to_dot"]
 
@@ -96,21 +96,20 @@ def parse(source: bytes | str) -> Program:
     else:
         text = source
 
-    # Each distinct name becomes one shared Atom, validated once.
+    # Each distinct name becomes one shared Atom, validated once. The heads
+    # are kept by body, a fact's under None, as a Program stores them.
     atom = functools.cache(Atom)
-    rules = set()
+    edges: dict = {}
     pos = 0
     while pos < len(text):
         m = _STATEMENT_RE.match(text, pos)
-        if m["fact"]:
-            rules.add(Rule(atom(m["head"])))
-        elif m["dot"]:
-            rules.add(Rule(atom(m["head"]), atom(m["body"])))
+        if m["fact"] or m["dot"]:
+            edges.setdefault(m["body"] and atom(m["body"]), set()).add(atom(m["head"]))
         elif m["head"] or m.end() < len(text):
             raise _error(text, m)
         pos = m.end()
 
-    return Program._wrap(frozenset(rules))
+    return Program._wrap(_canonical(edges))
 
 
 def render(program: Program) -> str:
@@ -129,16 +128,13 @@ def to_dot(program: Program) -> str:
     Fact atoms get a doubled border (``peripheries=2``). Nodes and edges are
     emitted in sorted order, so the output is deterministic.
     """
-    edges = _graph(program.rules)
+    edges = dict(program._edges)
     fact_atoms = set(edges.pop(None, ()))
     lines = ["digraph program {"]
-    for a in sorted(fact_atoms.union(edges, *edges.values())):
-        if a in fact_atoms:
-            lines.append(f'  "{a}" [peripheries=2];')
-        else:
-            lines.append(f'  "{a}";')
-    for src in sorted(edges):
-        for dst in sorted(edges[src]):
-            lines.append(f'  "{src}" -> "{dst}";')
+    lines.extend(
+        f'  "{a}" [peripheries=2];' if a in fact_atoms else f'  "{a}";'
+        for a in sorted(fact_atoms.union(edges, *edges.values()))
+    )
+    lines.extend(f'  "{src}" -> "{dst}";' for src in sorted(edges) for dst in edges[src])
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -33,14 +33,15 @@ def unit_oracle(alphabet: Alphabet) -> Program:
 
 def compose_oracle(k: Program, l: Program) -> Program:
     """The three definition clauses, enumerated over all rule pairs."""
+    k_rules, l_rules = k.rules, l.rules
     out = set()
-    for rk in k.rules:
+    for rk in k_rules:
         if rk.body is None:
             out.add(rk)
-    for rk in k.rules:
+    for rk in k_rules:
         if rk.body is None:
             continue
-        for rl in l.rules:
+        for rl in l_rules:
             if rl.body is None and rl.head == rk.body:
                 out.add(Rule(rk.head))
             if rl.body is not None and rl.head == rk.body:
@@ -97,10 +98,11 @@ def closure_oracle(program: Program, alphabet: Alphabet) -> Program:
 
 def consequences_oracle(program: Program) -> Interpretation:
     """Least model by iterating immediate consequences from the facts."""
-    current = frozenset(r.head for r in program.rules if r.body is None)
+    rules = program.rules
+    current = frozenset(r.head for r in rules if r.body is None)
     while True:
         grown = current | {
-            r.head for r in program.rules if r.body is not None and r.body in current
+            r.head for r in rules if r.body is not None and r.body in current
         }
         if grown == current:
             return Interpretation(current)
@@ -109,10 +111,11 @@ def consequences_oracle(program: Program) -> Interpretation:
 
 def reach_oracle(program: Program, interp: Interpretation) -> Interpretation:
     """One-edge-at-a-time fixpoint expansion of the seed set."""
+    rules = program.rules
     current = frozenset(interp.atoms)
     while True:
         grown = current | {
-            r.head for r in program.rules if r.body is not None and r.body in current
+            r.head for r in rules if r.body is not None and r.body in current
         }
         if grown == current:
             return Interpretation(current)
@@ -142,12 +145,13 @@ def minimize_oracle(k: Program) -> Program:
         for size in range(len(alphabet) + 1)
         for combo in itertools.combinations(alphabet, size)
     ]
-    current = set(k.rules)
-    for r in sorted(k.rules, key=lambda r: (r.body is not None, r.head, r.body or "")):
+    rules = k.rules
+    current = set(rules)
+    for r in sorted(rules, key=lambda r: (r.body is not None, r.head, r.body or "")):
         candidate = current - {r}
         if all(
             consequences_oracle(Program(candidate | ext))
-            == consequences_oracle(Program(k.rules | ext))
+            == consequences_oracle(Program(rules | ext))
             for ext in extensions
         ):
             current = candidate

@@ -132,13 +132,13 @@ class TestProgram:
         assert k - l == prog("a")
 
     def test_rejects_non_rules(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^not a Rule: 'a'$"):
             Program(["a"])
 
     def test_rejects_invalid_atoms_inside_rules(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^invalid atom name: 'A'$"):
             Program([Rule("A")])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^invalid atom name: 'B'$"):
             Program([Rule("a", "B")])
 
     def test_hashable(self):

@@ -326,11 +326,12 @@ def atoms_of(program: Program) -> list[str]:
 def uniform_oracle(k: Program, l: Program) -> str:
     """Least models under every extension, smallest extension first."""
     universe = sorted(set(atoms_of(k)) | set(atoms_of(l)))
+    k_rules, l_rules = k.rules, l.rules
     for size in range(len(universe) + 1):
         for combo in itertools.combinations(universe, size):
             ext = {Rule(a) for a in combo}
-            if consequences_oracle(Program(k.rules | ext)) != consequences_oracle(
-                Program(l.rules | ext)
+            if consequences_oracle(Program(k_rules | ext)) != consequences_oracle(
+                Program(l_rules | ext)
             ):
                 return f"not equivalent\nwitness: {Interpretation(combo)}\n"
     return "equivalent\n"

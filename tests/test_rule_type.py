@@ -6,7 +6,9 @@ the suite while ``str(r)``, ``render`` and ``r.is_fact`` break on it. These
 tests look at the type of each member of the outputs of the operations
 that build programs, over the hypothesis strategies of ``test_algebra``,
 the seeded shapes of ``test_kernel`` (with reach rows in narrow blocks and
-in blocks of the default width) and seeded ``random_program`` draws.
+in blocks of the default width) and seeded ``random_program`` draws. The
+same sweeps check that every output agrees with the program the public
+constructor builds from its rules.
 """
 
 import random
@@ -26,6 +28,7 @@ from krom import (
     parse,
     plus,
     power,
+    proper,
     random_program,
     render,
     star,
@@ -41,6 +44,17 @@ def assert_rules(program: Program) -> None:
     assert not bad, bad[:3]
 
 
+def assert_consistent(program: Program) -> None:
+    """A program equals, hashes like and is as long as the one the public
+    constructor builds from its rules, whichever path built it."""
+    rules = program.rules
+    assert program == Program(rules)
+    assert hash(program) == hash(Program(rules))
+    assert len(program) == len(rules)
+    again = program.rules
+    assert again == rules and all(type(r) is Rule for r in again)
+
+
 def assert_outputs(p: Program, q: Program, alphabet: Alphabet) -> None:
     for out in (
         compose(p, q),
@@ -53,8 +67,12 @@ def assert_outputs(p: Program, q: Program, alphabet: Alphabet) -> None:
         omega(p).as_program(),
         minimize(p),
         parse(render(p)),
+        p | q,
+        p - q,
+        proper(p),
     ):
         assert_rules(out)
+        assert_consistent(out)
 
 
 @given(programs_st, programs_st, st.integers(min_value=0, max_value=4))
@@ -77,6 +95,7 @@ def test_wide_sparse_outputs():
     hub = Program(Rule(NAMES_1000[0], b) for b in NAMES_1000[1:])
     for out in (star(hub, alphabet), plus(hub, alphabet), star(Program(), alphabet)):
         assert_rules(out)
+        assert_consistent(out)
 
 
 def test_random_program_and_parse():
@@ -85,7 +104,7 @@ def test_random_program_and_parse():
         n = rng.randint(1, 8)
         config = GenConfig(n, rng.randint(0, n + n * n), rng.random(), rng.randrange(2**32))
         p = random_program(config)
-        assert_rules(p)
-        assert_rules(parse(render(p)))
-        assert_rules(compose(p, p))
+        for out in (p, parse(render(p)), compose(p, p)):
+            assert_rules(out)
+            assert_consistent(out)
     assert_rules(parse("a. b :- a. % comment\nc :- c."))
